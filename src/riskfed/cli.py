@@ -1,7 +1,8 @@
 """Experiment entry point: config parsing, dispatch, artifact outputs.
 
-Configs are flat ``key = value`` text (one per line, ``#`` comments
-allowed). Unknown keys are rejected so typos cannot silently fall back
+Configs are flat ``key = value`` text (one per line; ``#`` starts a
+comment at the start of a line or after whitespace, so ``a#b`` in a path
+is kept). Unknown keys are rejected so typos cannot silently fall back
 to defaults. Every successful run directory contains exactly four
 files: resolved_config.txt, metrics.csv, weights.csv, partition.csv.
 """
@@ -10,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import re
 import sys
 from dataclasses import dataclass
 from datetime import datetime, timezone
@@ -25,6 +27,7 @@ from .federation import (
 from .metrics import MetricsSink, write_metrics_csv
 from .partition import validate_partition, write_partition_csv
 
+_COMMENT = re.compile(r"(^|\s)#.*")
 _REQUIRED = ("algorithm", "clients", "samples_per_client", "rounds", "seed")
 
 # external key -> (config attribute, parser)
@@ -60,7 +63,7 @@ def parse_config(path) -> ExperimentConfig:
         raise ConfigurationError(f"config file not found: {path}")
     values, lines = {}, {}
     for lineno, raw in enumerate(path.read_text(encoding="utf-8").splitlines(), 1):
-        line = raw.split("#", 1)[0].strip()
+        line = _COMMENT.sub("", raw, count=1).strip()
         if not line:
             continue
         if "=" not in line:

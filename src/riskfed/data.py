@@ -33,7 +33,7 @@ class LabeledDataset:
             raise DataError("labels/sectors length must match feature rows")
         if not np.all(np.isfinite(self.features)):
             raise DataError("features contain non-finite values")
-        if not np.all(np.isin(self.labels, (-1.0, 1.0))):
+        if not np.all(np.abs(self.labels) == 1.0):
             raise DataError("labels must be -1 or +1")
 
     def __len__(self) -> int:
@@ -50,6 +50,14 @@ class LabeledDataset:
             features=np.ascontiguousarray(self.features[idx]),
             labels=self.labels[idx].copy(),
             sectors=self.sectors[idx].copy(),
+        )
+
+    def rows(self, start: int, stop: int) -> "LabeledDataset":
+        """Rows start:stop as views of this dataset's arrays, not copies."""
+        return LabeledDataset(
+            features=self.features[start:stop],
+            labels=self.labels[start:stop],
+            sectors=self.sectors[start:stop],
         )
 
 
@@ -131,9 +139,16 @@ def load_csv(path) -> LabeledDataset:
                 raise DataError(
                     f"{path}: row {rownum} label must be -1 or 1, got {label_field!r}"
                 )
+            try:
+                sector = int(row[ncols + 1]) if has_sector else 0
+            except ValueError:
+                raise DataError(
+                    f"{path}: row {rownum} sector must be an integer, "
+                    f"got {row[ncols + 1]!r}"
+                ) from None
             feats.append(values)
             labels.append(float(label_field))
-            sectors.append(int(row[ncols + 1]) if has_sector else 0)
+            sectors.append(sector)
     if not feats:
         raise DataError(f"{path}: no data rows")
     return LabeledDataset(
@@ -155,16 +170,22 @@ def write_csv(data: LabeledDataset, path) -> None:
             writer.writerow(row)
 
 
-def temporal_split(data: LabeledDataset, fraction: float) -> SplitDataset:
-    """First floor(fraction*n) records train, the rest test; no shuffling."""
+def split_point(n: int, fraction: float) -> int:
+    """Leading records that train: floor(fraction*n), leaving both sides non-empty."""
     if not 0.0 < fraction < 1.0:
         raise ConfigurationError(f"train fraction must lie in (0, 1), got {fraction}")
-    n = len(data)
     cut = int(np.floor(fraction * n))
     if cut < 1 or cut >= n:
         raise ConfigurationError(
             f"split of {n} records at fraction {fraction} leaves an empty side"
         )
+    return cut
+
+
+def temporal_split(data: LabeledDataset, fraction: float) -> SplitDataset:
+    """First floor(fraction*n) records train, the rest test; no shuffling."""
+    n = len(data)
+    cut = split_point(n, fraction)
     return SplitDataset(
         train=data.subset(np.arange(cut)),
         test=data.subset(np.arange(cut, n)),

@@ -6,6 +6,11 @@ the per-round participation and dropout draws all derive from the single
 experiment seed through fixed stream tags. Per-client dropout draws are
 seeded by (seed, round, client), so scheduling and worker count can never
 change an outcome.
+
+Clients live in one ``ClientStore``. Each round starts from the store's
+evaluation at the broadcast weights and ends with the one evaluation at
+the new weights, which gives the round's train loss and starts the next
+round.
 """
 
 from __future__ import annotations
@@ -16,12 +21,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import _kernels, objective, sensitivity
-from .data import LabeledDataset, generate_synthetic, load_csv, temporal_split
-from .errors import ConfigurationError, ExperimentError
+from . import _kernels, sensitivity
+from ._pcg import first_uniforms
+# temporal_split stays a name here: perfbench/child.py wraps it by this name
+from .data import generate_synthetic, load_csv, split_point, temporal_split  # noqa: F401
+from .errors import ConfigurationError, ExperimentError, NumericalError
 from .metrics import RoundRecord
 from .model import init_weights
 from .partition import PartitionPlan, exdir_partition
+from .store import ClientStore, TrainPass
 
 ALGORITHMS = ("fral_cse", "fedavg", "fedprox")
 
@@ -100,20 +108,16 @@ class ExperimentConfig:
                     f"{key} = {getattr(self, _FIELD_BY_KEY.get(key, key))!r} "
                     f"out of range, expected {expected}"
                 )
+        if self.algorithm == "fral_cse" and self.local_epochs != 0:
+            raise ConfigurationError(
+                f"local_epochs = {self.local_epochs!r} must be 0 for fral_cse: "
+                f"its central step uses no local training"
+            )
         if self.mu != 0.0 and self.algorithm != "fedprox":
             raise ConfigurationError("mu applies to the fedprox algorithm only")
 
 
 _FIELD_BY_KEY = {"C": "labels_per_client", "alpha": "dirichlet_alpha"}
-
-
-@dataclass(frozen=True)
-class ClientState:
-    """One simulated client: id plus its temporal train/test shards."""
-
-    client_id: int
-    train: LabeledDataset
-    test: LabeledDataset
 
 
 @dataclass
@@ -141,48 +145,39 @@ def sample_participants(
 def apply_dropout(
     participants: np.ndarray, rate: float, round_index: int, seed: int
 ) -> np.ndarray:
-    """Drop each participant independently with probability rate."""
+    """Drop each participant independently with probability rate.
+
+    Participant cid survives when the first uniform of
+    ``np.random.default_rng([seed, round_index, 5, cid])`` is at least
+    rate; all participants are drawn in one vectorized pass.
+    """
     if not 0 <= rate < 1:
         raise ConfigurationError(f"dropout rate must lie in [0, 1), got {rate}")
-    survivors = [
-        int(cid)
-        for cid in np.asarray(participants)
-        if np.random.default_rng([seed, round_index, _DROPOUT_STREAM, int(cid)]).random()
-        >= rate
-    ]
-    return np.asarray(sorted(survivors), dtype=np.int64)
+    participants = np.asarray(participants, dtype=np.int64)
+    draws = first_uniforms([seed, round_index, _DROPOUT_STREAM], participants)
+    return np.sort(participants[draws >= rate])
 
 
-class _TestUnion:
-    """Concatenated test shards so accuracy is one pass per round."""
-
-    def __init__(self, clients):
-        self.features = np.ascontiguousarray(
-            np.concatenate([c.test.features for c in clients])
-        )
-        self.labels = np.concatenate([c.test.labels for c in clients])
-
-
-def _round_record(w_next, w_prev, clients, test_union, config, round_index,
+def _round_record(after: TrainPass, w_prev, store: ClientStore, round_index,
                   participants, completed) -> RoundRecord:
-    total = sum(len(c.train) for c in clients)
-    train_loss = 0.0
-    for c in clients:
-        loss, _, _ = _kernels.local_loss_eval(
-            c.train.features, c.train.labels, w_next, config.beta, config.c
-        )
-        train_loss += (len(c.train) / total) * loss
-    scores = _kernels.linear_scores(test_union.features, w_next)
-    acc = float(np.count_nonzero(test_union.labels * scores > 0.0))
-    acc /= test_union.labels.size
-    return RoundRecord(
+    """The round's metrics at its final weights; raises NumericalError when
+    the train loss or the step norm is not finite."""
+    scores = _kernels.linear_scores(store.test.features, after.w)
+    acc = float(np.count_nonzero(store.test.labels * scores > 0.0))
+    acc /= store.test.labels.size
+    record = RoundRecord(
         round=round_index,
-        global_train_loss=train_loss,
+        global_train_loss=after.train_loss,
         test_accuracy=acc,
         participants=int(participants),
         completed=int(completed),
-        step_norm=float(np.linalg.norm(w_next - w_prev)),
+        step_norm=float(np.linalg.norm(after.w - w_prev)),
     )
+    for name, value in (("train loss", record.global_train_loss),
+                        ("step norm", record.step_norm)):
+        if not np.isfinite(value):
+            raise NumericalError(f"{name} is not finite ({value})")
+    return record
 
 
 def _survivors(config, round_index):
@@ -203,47 +198,47 @@ def _map_clients(fn, survivors, workers):
         return list(pool.map(fn, ids))
 
 
-def run_round_fral(w, clients, config, round_index, test_union=None):
-    """One curvature-accelerated round: reports at the broadcast weights,
-    aggregation, damped second-order central update."""
-    test_union = test_union or _TestUnion(clients)
-    participants, survivors = _survivors(config, round_index)
-    if survivors.size == 0:
-        record = _round_record(w, w, clients, test_union, config, round_index,
-                               participants.size, 0)
-        return w.copy(), record
-
-    def evaluate(cid):
-        shard = clients[cid].train
-        report = sensitivity.client_report(w, shard, config.beta, config.c)
-        if config.local_epochs > 0:
-            # drift pass only; aggregation stays at the broadcast point
-            _kernels.local_sgd(
-                shard.features, shard.labels, w, w, config.beta, config.c,
-                config.local_epochs, config.local_lr, 0.0,
-            )
-        return report
-
-    reports = _map_clients(evaluate, survivors, config.workers)
-    total_n = sum(r.n_k for r in reports)
-    g = objective.aggregate_gradient(reports, total_n)
-    s = sensitivity.aggregate_sensitivity(reports, config.c, total_n)
-    w_next = sensitivity.central_update(w, s, g, config.epsilon)
-    record = _round_record(w_next, w, clients, test_union, config, round_index,
+def _finish_round(w_next, before: TrainPass, store, config, round_index,
+                  participants, survivors):
+    """Evaluate w_next once: the pass gives this round's train loss and is
+    the next round's evaluation at its broadcast weights."""
+    if not np.all(np.isfinite(w_next)):
+        raise NumericalError("weights are not finite after the update")
+    after = store.evaluate(w_next, config.beta, config.c)
+    record = _round_record(after, before.w, store, round_index,
                            participants.size, survivors.size)
-    return w_next, record
+    return after, record
 
 
-def _run_round_averaging(w, clients, config, round_index, test_union, mu):
-    test_union = test_union or _TestUnion(clients)
+def run_round_fral(state: TrainPass, store: ClientStore, config, round_index):
+    """One curvature-accelerated round from the evaluation at the broadcast
+    weights: S and g from the survivors' tail-active rows, then the damped
+    second-order central update."""
     participants, survivors = _survivors(config, round_index)
     if survivors.size == 0:
-        record = _round_record(w, w, clients, test_union, config, round_index,
-                               participants.size, 0)
-        return w.copy(), record
+        return state, _round_record(state, state.w, store, round_index,
+                                    participants.size, 0)
+    in_round = np.zeros(len(store), dtype=bool)
+    in_round[survivors] = True
+    rows = state.active_rows[np.repeat(in_round, state.active_counts)]
+    s, g = sensitivity.tail_system(
+        state.w, store.train.features[rows], store.train.labels[rows],
+        int(store.train_sizes[survivors].sum()), config.c,
+    )
+    w_next = sensitivity.central_update(state.w, s, g, config.epsilon)
+    return _finish_round(w_next, state, store, config, round_index,
+                         participants, survivors)
+
+
+def _run_round_averaging(state, store, config, round_index, mu):
+    participants, survivors = _survivors(config, round_index)
+    if survivors.size == 0:
+        return state, _round_record(state, state.w, store, round_index,
+                                    participants.size, 0)
+    w = state.w
 
     def train(cid):
-        shard = clients[cid].train
+        shard = store[cid].train
         local_w = _kernels.local_sgd(
             shard.features, shard.labels, w, w, config.beta, config.c,
             config.local_epochs, config.local_lr, mu,
@@ -255,20 +250,18 @@ def _run_round_averaging(w, clients, config, round_index, test_union, mu):
     w_next = np.zeros_like(w)
     for n, local_w in results:
         w_next += (n / total_n) * local_w
-    record = _round_record(w_next, w, clients, test_union, config, round_index,
-                           participants.size, survivors.size)
-    return w_next, record
+    return _finish_round(w_next, state, store, config, round_index,
+                         participants, survivors)
 
 
-def run_round_fedavg(w, clients, config, round_index, test_union=None):
+def run_round_fedavg(state, store, config, round_index):
     """One averaging round: local full-batch descent, size-weighted mean."""
-    return _run_round_averaging(w, clients, config, round_index, test_union, 0.0)
+    return _run_round_averaging(state, store, config, round_index, 0.0)
 
 
-def run_round_fedprox(w, clients, config, round_index, test_union=None):
+def run_round_fedprox(state, store, config, round_index):
     """Averaging round whose local steps add the proximal pull mu*(w - w_t)."""
-    return _run_round_averaging(w, clients, config, round_index, test_union,
-                                config.mu)
+    return _run_round_averaging(state, store, config, round_index, config.mu)
 
 
 _ROUND_FN = {
@@ -301,35 +294,36 @@ def build_data_and_plan(config: ExperimentConfig):
 
 
 def build_clients(config: ExperimentConfig):
-    """Materialize data, partition, and per-client temporal splits."""
+    """Materialize data, partition, and the store of per-client temporal
+    splits; the store iterates over the clients in id order."""
     data, plan = build_data_and_plan(config)
-    clients = []
-    for cid, idx in enumerate(plan.assignments):
-        split = temporal_split(data.subset(idx), config.train_fraction)
-        clients.append(ClientState(client_id=cid, train=split.train, test=split.test))
-    return data, plan, clients
+    cuts = [split_point(len(idx), config.train_fraction) for idx in plan.assignments]
+    store = ClientStore.gather(
+        data,
+        [idx[:cut] for idx, cut in zip(plan.assignments, cuts)],
+        [idx[cut:] for idx, cut in zip(plan.assignments, cuts)],
+    )
+    return data, plan, store
 
 
 def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     """Run all rounds; deterministic per configuration."""
     config.validate()
-    _, plan, clients = build_clients(config)
-    dim = clients[0].train.dim
-    w = init_weights(dim, _child_seed(config.seed, _INIT_STREAM))
-    w0 = w.copy()
-    test_union = _TestUnion(clients)
+    _, plan, store = build_clients(config)
+    w0 = init_weights(store.train.dim, _child_seed(config.seed, _INIT_STREAM))
+    state = store.evaluate(w0.copy(), config.beta, config.c)
     round_fn = _ROUND_FN[config.algorithm]
     records = []
     for round_index in range(1, config.rounds + 1):
         try:
-            w, record = round_fn(w, clients, config, round_index, test_union)
+            state, record = round_fn(state, store, config, round_index)
         except ExperimentError as exc:
             raise type(exc)(f"round {round_index}: {exc}") from exc
         records.append(record)
     return ExperimentResult(
         records=records,
         initial_weights=w0,
-        final_weights=w,
+        final_weights=state.w,
         plan=plan,
-        clients=clients,
+        clients=list(store),
     )

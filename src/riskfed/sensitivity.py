@@ -1,9 +1,11 @@
 """Second-order curvature machinery for the central update.
 
-Each client reports the Gram matrix of score gradients over its
-tail-active samples. The server folds those into the aggregated
-sensitivity matrix S = sum_k (n_k/n) (I + (c/n_k) Gram_k) and takes a
-damped Newton-style step w - (S + eps*I)^{-1} g.
+Each client's tail-active samples contribute the Gram matrix of their
+score gradients. The server folds those into the aggregated sensitivity
+matrix S = sum_k (n_k/n) (I + (c/n_k) Gram_k) and takes a damped
+Newton-style step w - (S + eps*I)^{-1} g. Since the weights n_k/n sum
+to one, S and g need only sums over the survivors' active rows
+(``tail_system``); the per-client reports remain as its reference.
 """
 
 from __future__ import annotations
@@ -77,6 +79,29 @@ def aggregate_sensitivity(
         s += (c / total_n) * r.gram
     s[np.diag_indices(p)] += identity_mass
     return s
+
+
+def tail_system(
+    w: np.ndarray, features: np.ndarray, labels: np.ndarray, n: int, c: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """S and g of the central step from all survivors' tail-active rows.
+
+    ``features``/``labels`` hold those rows and n is the survivors' total
+    train rows. With J the stacked rows [x; 1],
+    S = I + (c/n) J^T J and g = w - (c/n) sum_i y_i [x_i; 1].
+    """
+    m, d = features.shape
+    scale = c / n
+    jac_sum = np.empty(d + 1)
+    jac_sum[:d] = features.T @ labels
+    jac_sum[d] = float(labels.sum())
+    gram = np.empty((d + 1, d + 1))
+    gram[:d, :d] = features.T @ features
+    gram[:d, d] = gram[d, :d] = features.sum(axis=0)
+    gram[d, d] = m
+    s = scale * gram
+    s[np.diag_indices(d + 1)] += 1.0
+    return s, w - scale * jac_sum
 
 
 def central_update(

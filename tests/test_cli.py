@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from riskfed.cli import main, parse_config, resolved_config_text
@@ -71,6 +72,21 @@ class TestParseConfig:
         with pytest.raises(ConfigurationError, match="fedprox"):
             parse_config(path)
 
+    def test_hash_inside_value_kept(self, tmp_path):
+        csv_path = tmp_path / "a#b" / "d.csv"
+        path = write_config(tmp_path, MINIMAL + f"data_csv = {csv_path}\n")
+        assert parse_config(path).data_csv == str(csv_path)
+
+    def test_hash_after_whitespace_starts_comment(self, tmp_path):
+        text = MINIMAL.replace("seed = 7", "seed = 1  # note")
+        assert parse_config(write_config(tmp_path, text)).seed == 1
+
+    def test_local_epochs_rejected_for_fral_with_line(self, tmp_path):
+        path = write_config(tmp_path, MINIMAL + "local_epochs = 2\n")
+        with pytest.raises(ConfigurationError, match=r"exp\.conf:7: local_epochs"):
+            parse_config(path)
+        assert main(["validate", "--config", str(path)]) == 2
+
     def test_duplicate_key_rejected(self, tmp_path):
         path = write_config(tmp_path, MINIMAL + "seed = 8\n")
         with pytest.raises(ConfigurationError, match="duplicate"):
@@ -116,6 +132,17 @@ class TestMainRun:
         config = write_config(tmp_path, MINIMAL + f"data_csv = {bad}\n")
         code = main(["run", "--config", str(config), "--out", str(tmp_path / "o")])
         assert code == 3
+
+    def test_divergence_exit_code_four_names_round(self, tmp_path, capsys):
+        # fedavg at local_lr = 1e6 overflows; the train loss first reads inf
+        # in round 9, which used to be written to metrics.csv with exit 0
+        text = ("algorithm = fedavg\nclients = 4\nsamples_per_client = 50\n"
+                "rounds = 12\nseed = 0\nd = 4\nlocal_lr = 1e6\nlocal_epochs = 3\n")
+        config = write_config(tmp_path, text)
+        with np.errstate(over="ignore", invalid="ignore"):
+            code = main(["run", "--config", str(config), "--out", str(tmp_path / "o")])
+        assert code == 4
+        assert "round 9: train loss is not finite" in capsys.readouterr().err
 
     def test_zero_rounds_header_only_metrics(self, tmp_path):
         config = write_config(tmp_path, MINIMAL.replace("rounds = 2", "rounds = 0"))

@@ -86,6 +86,13 @@ class TestCsvRoundTrip:
         with pytest.raises(DataError, match="row 2"):
             load_csv(path)
 
+    def test_non_integer_sector_names_row(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_text("feature_0,feature_1,label,sector\n0.1,0.2,1,x\n",
+                        encoding="utf-8")
+        with pytest.raises(DataError, match=r"bad\.csv: row 2 sector"):
+            load_csv(path)
+
     def test_missing_header_rejected(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("1.0,2.0,1\n", encoding="utf-8")

@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
 
+from riskfed.data import temporal_split
 from riskfed.errors import ConfigurationError
 from riskfed.federation import (
-    ClientState,
     ExperimentConfig,
     apply_dropout,
+    build_clients,
     run_experiment,
     run_round_fedavg,
     run_round_fedprox,
@@ -14,8 +15,9 @@ from riskfed.federation import (
 )
 from riskfed.metrics import MetricsSink, write_metrics_csv
 from riskfed.objective import local_gradient
+from riskfed.store import ClientState
 
-from conftest import make_dataset
+from conftest import make_dataset, make_store
 
 
 def config(**kw):
@@ -30,6 +32,14 @@ def config(**kw):
 def client_from(features, labels, client_id=0):
     data = make_dataset(features, labels)
     return ClientState(client_id=client_id, train=data, test=data)
+
+
+def run_round(round_fn, w, clients, cfg, round_index):
+    """One round from weights w over a store of the clients: (w_next, record)."""
+    store = make_store([(c.train, c.test) for c in clients])
+    after, record = round_fn(store.evaluate(w, cfg.beta, cfg.c), store, cfg,
+                             round_index)
+    return after.w, record
 
 
 def det3(a):
@@ -99,6 +109,18 @@ class TestApplyDropout:
         with pytest.raises(ConfigurationError):
             apply_dropout(np.arange(3), 1.0, 1, seed=0)
 
+    def test_matches_one_generator_per_participant(self):
+        # reference: one fresh generator per (seed, round, stream 5, client)
+        participants = np.sort(np.random.default_rng(4).choice(3000, 700,
+                                                                replace=False))
+        for seed, rnd, rate in ((0, 1, 0.1), (2**40 + 7, 12, 0.5), (9, 3, 0.0)):
+            expected = [int(cid) for cid in participants
+                        if np.random.default_rng([seed, rnd, 5, int(cid)]).random()
+                        >= rate]
+            got = apply_dropout(participants, rate, rnd, seed)
+            assert got.dtype == np.int64
+            np.testing.assert_array_equal(got, expected)
+
 
 def find_all_drop_round(cfg):
     for rnd in range(1, 200):
@@ -118,7 +140,7 @@ class TestFralRound:
                    for cid in range(3)]
         cfg = config(clients=3, c=0.0, epsilon=0.001)
         w = rng.standard_normal(3)
-        w_next, record = run_round_fral(w, clients, cfg, round_index=1)
+        w_next, record = run_round(run_round_fral, w, clients, cfg, round_index=1)
         expected = (0.001 / 1.001) * w
         np.testing.assert_allclose(w_next, expected, rtol=1e-12)
         assert record.completed == 3
@@ -132,7 +154,7 @@ class TestFralRound:
         jac = np.array([-2.0, 0.0, 1.0])
         s = np.eye(3) + 0.5 * np.outer(jac, jac)
         step = cramer3(s + 0.5 * np.eye(3), grad)
-        w_next, _ = run_round_fral(w, clients, cfg, round_index=1)
+        w_next, _ = run_round(run_round_fral, w, clients, cfg, round_index=1)
         np.testing.assert_allclose(w_next, w - step, atol=1e-12)
 
     def test_all_drop_round_is_identity(self):
@@ -140,7 +162,7 @@ class TestFralRound:
         cfg = config(dropout_rate=0.9)
         rnd = find_all_drop_round(cfg)
         w = np.array([0.5, -0.5, 0.25])
-        w_next, record = run_round_fral(w, clients, cfg, round_index=rnd)
+        w_next, record = run_round(run_round_fral, w, clients, cfg, round_index=rnd)
         np.testing.assert_array_equal(w_next, w)
         assert record.completed == 0
         assert record.step_norm == 0.0
@@ -161,7 +183,7 @@ class TestFedavgRound:
         clients = [client_from([[1.0, 0.0], [-2.0, 0.0]], [1.0, 1.0])]
         cfg = config(algorithm="fedavg", local_epochs=0)
         w = np.array([0.3, 0.1, -0.2])
-        w_next, _ = run_round_fedavg(w, clients, cfg, round_index=1)
+        w_next, _ = run_round(run_round_fedavg, w, clients, cfg, round_index=1)
         np.testing.assert_array_equal(w_next, w)
 
     def test_single_client_one_epoch_plain_gradient_step(self):
@@ -169,7 +191,7 @@ class TestFedavgRound:
         cfg = config(algorithm="fedavg", local_epochs=1, local_lr=0.05, beta=0.5)
         w = np.array([1.0, 0.0, 0.0])
         grad = local_gradient(w, clients[0].train, beta=0.5, c=1.0).gradient
-        w_next, _ = run_round_fedavg(w, clients, cfg, round_index=1)
+        w_next, _ = run_round(run_round_fedavg, w, clients, cfg, round_index=1)
         np.testing.assert_allclose(w_next, w - 0.05 * grad, atol=1e-14)
 
     def test_duplicated_client_invariance(self):
@@ -179,10 +201,10 @@ class TestFedavgRound:
         single = [client_from(features, labels)]
         doubled = [client_from(features, labels, 0), client_from(features, labels, 1)]
         w = rng.standard_normal(3)
-        one, _ = run_round_fedavg(w, single, config(algorithm="fedavg"),
-                                  round_index=1)
-        two, _ = run_round_fedavg(w, doubled, config(algorithm="fedavg", clients=2),
-                                  round_index=1)
+        one, _ = run_round(run_round_fedavg, w, single, config(algorithm="fedavg"),
+                           round_index=1)
+        two, _ = run_round(run_round_fedavg, w, doubled,
+                           config(algorithm="fedavg", clients=2), round_index=1)
         np.testing.assert_array_equal(one, two)
 
 
@@ -207,8 +229,8 @@ class TestFedproxRound:
                         local_epochs=200)
         free = config(algorithm="fedprox", mu=0.0, local_lr=1e-4,
                       local_epochs=200)
-        w_pinned, _ = run_round_fedprox(w, clients, pinned, round_index=1)
-        w_free, _ = run_round_fedprox(w, clients, free, round_index=1)
+        w_pinned, _ = run_round(run_round_fedprox, w, clients, pinned, round_index=1)
+        w_free, _ = run_round(run_round_fedprox, w, clients, free, round_index=1)
         assert np.linalg.norm(w_pinned - w) <= 1e-3
         assert np.linalg.norm(w_pinned - w) <= 0.1 * np.linalg.norm(w_free - w)
 
@@ -218,7 +240,7 @@ class TestFedproxRound:
         clients = [client_from([[1.0, 2.0]], [1.0])]
         cfg = config(algorithm="fedprox", mu=1.0, local_lr=0.1, local_epochs=2)
         w = np.array([1.0, 0.0, -2.0])
-        w_next, _ = run_round_fedprox(w, clients, cfg, round_index=1)
+        w_next, _ = run_round(run_round_fedprox, w, clients, cfg, round_index=1)
         np.testing.assert_allclose(w_next, 0.82 * w, rtol=1e-14)
 
 
@@ -280,3 +302,21 @@ class TestRunExperiment:
     def test_mu_on_non_fedprox_rejected(self):
         with pytest.raises(ConfigurationError):
             config(algorithm="fedavg", mu=0.5)
+
+
+class TestBuildClients:
+    def test_store_rows_equal_per_client_temporal_splits(self):
+        cfg = config(clients=7, samples_per_client=23, seed=3, d=3, num_sectors=2,
+                     dirichlet_alpha=50.0)
+        data, plan, store = build_clients(cfg)
+        assert [c.client_id for c in store] == list(range(7))
+        for client, idx in zip(store, plan.assignments):
+            split = temporal_split(data.subset(idx), cfg.train_fraction)
+            for got, want in ((client.train, split.train), (client.test, split.test)):
+                np.testing.assert_array_equal(got.features, want.features)
+                np.testing.assert_array_equal(got.labels, want.labels)
+                np.testing.assert_array_equal(got.sectors, want.sectors)
+            # shards are views of the store, not copies
+            assert np.shares_memory(client.train.features, store.train.features)
+            assert np.shares_memory(client.test.features, store.test.features)
+        assert len(store.train) + len(store.test) == len(data)
