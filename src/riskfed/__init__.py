@@ -7,9 +7,8 @@ Reference baselines (fedavg, fedprox) and an experiment harness with
 participation and dropout simulation are included.
 """
 
-from ._kernels import BACKEND
 from .federation import ExperimentConfig, run_experiment
 
 __version__ = "0.1.0"
 
-__all__ = ["BACKEND", "ExperimentConfig", "run_experiment", "__version__"]
+__all__ = ["ExperimentConfig", "run_experiment", "__version__"]

@@ -1,13 +1,5 @@
 """Hot numeric kernels: per-client evaluation and local gradient descent.
 
-Two interchangeable backends live here. The numba backend JIT-compiles
-tight loops; the numpy backend is vectorized pure numpy. Selection is
-driven by the ``RISKFED_BACKEND`` environment variable (``"numba"`` or
-``"numpy"``); when unset, numba is used if importable. Both backends are
-always exported under explicit names (``client_eval_numpy`` and, when
-available, ``client_eval_numba``) so they can be compared directly; the
-unsuffixed names are the active backend.
-
 All kernels take C-contiguous float64 arrays: ``features`` of shape
 (n, d), ``labels`` of shape (n,) with values in {-1, +1}, and weight
 vectors of length d+1 (bias last).
@@ -15,11 +7,10 @@ vectors of length d+1 (bias last).
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
-from .errors import ConfigurationError
+#: Name of the kernel implementation, recorded in benchmark results.
+BACKEND = "numpy"
 
 __all__ = [
     "BACKEND",
@@ -28,7 +19,6 @@ __all__ = [
     "local_loss_eval",
     "client_eval",
     "local_sgd",
-    "warmup",
 ]
 
 
@@ -51,20 +41,15 @@ def quantile_rank(n: int, beta: float) -> int:
     return k
 
 
-# ---------------------------------------------------------------------------
-# pure-numpy backend
-# ---------------------------------------------------------------------------
-
-
-def linear_scores_numpy(features: np.ndarray, w: np.ndarray) -> np.ndarray:
+def linear_scores(features: np.ndarray, w: np.ndarray) -> np.ndarray:
     d = features.shape[1]
     return features @ w[:d] + w[d]
 
 
-def local_loss_eval_numpy(features, labels, w, beta, c):
+def local_loss_eval(features, labels, w, beta, c):
     """Loss-only evaluation: (loss, threshold q, active tail count)."""
     n = features.shape[0]
-    risks = -labels * linear_scores_numpy(features, w)
+    risks = -labels * linear_scores(features, w)
     k = quantile_rank(n, beta)
     q = np.partition(risks, k - 1)[k - 1]
     active = risks > q
@@ -73,10 +58,10 @@ def local_loss_eval_numpy(features, labels, w, beta, c):
     return loss, float(q), int(np.count_nonzero(active))
 
 
-def client_eval_numpy(features, labels, w, beta, c):
+def client_eval(features, labels, w, beta, c):
     """Full client report payload: (loss, gradient, gram, active, q)."""
     n, d = features.shape
-    risks = -labels * linear_scores_numpy(features, w)
+    risks = -labels * linear_scores(features, w)
     k = quantile_rank(n, beta)
     q = np.partition(risks, k - 1)[k - 1]
     active = risks > q
@@ -101,7 +86,7 @@ def client_eval_numpy(features, labels, w, beta, c):
     return loss, grad, gram, m, float(q)
 
 
-def local_sgd_numpy(features, labels, w0, anchor, beta, c, epochs, lr, mu):
+def local_sgd(features, labels, w0, anchor, beta, c, epochs, lr, mu):
     """Full-batch gradient descent on the tail-penalized local objective.
 
     Each epoch recomputes risks and the tail threshold at the current
@@ -113,7 +98,7 @@ def local_sgd_numpy(features, labels, w0, anchor, beta, c, epochs, lr, mu):
     k = quantile_rank(n, beta)
     scale = c / n
     for _ in range(epochs):
-        risks = -labels * linear_scores_numpy(features, w)
+        risks = -labels * linear_scores(features, w)
         q = np.partition(risks, k - 1)[k - 1]
         active = risks > q
         g = w + mu * (w - anchor)
@@ -124,171 +109,3 @@ def local_sgd_numpy(features, labels, w0, anchor, beta, c, epochs, lr, mu):
             g[d] -= scale * float(ya.sum())
         w = w - lr * g
     return w
-
-
-# ---------------------------------------------------------------------------
-# numba backend (same math, explicit loops)
-# ---------------------------------------------------------------------------
-
-_requested = os.environ.get("RISKFED_BACKEND", "").strip().lower()
-if _requested not in ("", "auto", "numba", "numpy"):
-    raise ConfigurationError(
-        f"RISKFED_BACKEND must be 'numba' or 'numpy', got {_requested!r}"
-    )
-
-_HAVE_NUMBA = False
-if _requested != "numpy":
-    try:
-        from numba import njit
-
-        _HAVE_NUMBA = True
-    except ImportError:
-        if _requested == "numba":
-            raise ConfigurationError(
-                "RISKFED_BACKEND=numba but numba is not importable"
-            ) from None
-
-if _HAVE_NUMBA:
-
-    @njit(cache=True, nogil=True)
-    def _rank_nb(n, beta):
-        k = int(np.ceil(beta * n))
-        if k < 1:
-            k = 1
-        if k > n:
-            k = n
-        while k > 1 and (k - 1) / n >= beta:
-            k -= 1
-        while k < n and k / n < beta:
-            k += 1
-        return k
-
-    @njit(cache=True, nogil=True)
-    def _risks_nb(features, labels, w):
-        n, d = features.shape
-        risks = np.empty(n)
-        for i in range(n):
-            s = w[d]
-            for j in range(d):
-                s += features[i, j] * w[j]
-            risks[i] = -labels[i] * s
-        return risks
-
-    @njit(cache=True, nogil=True)
-    def linear_scores_numba(features, w):
-        n, d = features.shape
-        out = np.empty(n)
-        for i in range(n):
-            s = w[d]
-            for j in range(d):
-                s += features[i, j] * w[j]
-            out[i] = s
-        return out
-
-    @njit(cache=True, nogil=True)
-    def local_loss_eval_numba(features, labels, w, beta, c):
-        n = features.shape[0]
-        risks = _risks_nb(features, labels, w)
-        k = _rank_nb(n, beta)
-        q = np.partition(risks, k - 1)[k - 1]
-        hinge = 0.0
-        active = 0
-        for i in range(n):
-            if risks[i] > q:
-                hinge += risks[i] - q
-                active += 1
-        sq = 0.0
-        for a in range(w.shape[0]):
-            sq += w[a] * w[a]
-        return 0.5 * sq + (c / n) * hinge, q, active
-
-    @njit(cache=True, nogil=True)
-    def client_eval_numba(features, labels, w, beta, c):
-        n, d = features.shape
-        p = d + 1
-        risks = _risks_nb(features, labels, w)
-        k = _rank_nb(n, beta)
-        q = np.partition(risks, k - 1)[k - 1]
-        jac_sum = np.zeros(p)
-        gram = np.zeros((p, p))
-        hinge = 0.0
-        active = 0
-        for i in range(n):
-            if risks[i] > q:
-                active += 1
-                hinge += risks[i] - q
-                yi = labels[i]
-                for a in range(d):
-                    jac_sum[a] += yi * features[i, a]
-                jac_sum[d] += yi
-                for a in range(d):
-                    xa = features[i, a]
-                    for b in range(a, d):
-                        gram[a, b] += xa * features[i, b]
-                    gram[a, d] += xa
-                gram[d, d] += 1.0
-        for a in range(p):
-            for b in range(a + 1, p):
-                gram[b, a] = gram[a, b]
-        scale = c / n
-        grad = np.empty(p)
-        sq = 0.0
-        for a in range(p):
-            grad[a] = w[a] - scale * jac_sum[a]
-            sq += w[a] * w[a]
-        loss = 0.5 * sq + scale * hinge
-        return loss, grad, gram, active, q
-
-    @njit(cache=True, nogil=True)
-    def local_sgd_numba(features, labels, w0, anchor, beta, c, epochs, lr, mu):
-        n, d = features.shape
-        p = d + 1
-        w = w0.copy()
-        k = _rank_nb(n, beta)
-        scale = c / n
-        g = np.empty(p)
-        for _ in range(epochs):
-            risks = _risks_nb(features, labels, w)
-            q = np.partition(risks, k - 1)[k - 1]
-            for a in range(p):
-                g[a] = w[a] + mu * (w[a] - anchor[a])
-            for i in range(n):
-                if risks[i] > q:
-                    yi = labels[i]
-                    for a in range(d):
-                        g[a] -= scale * yi * features[i, a]
-                    g[d] -= scale * yi
-            for a in range(p):
-                w[a] = w[a] - lr * g[a]
-        return w
-
-    BACKEND = "numba"
-    linear_scores = linear_scores_numba
-    local_loss_eval = local_loss_eval_numba
-    client_eval = client_eval_numba
-    local_sgd = local_sgd_numba
-else:
-    BACKEND = "numpy"
-    linear_scores_numba = None
-    local_loss_eval_numba = None
-    client_eval_numba = None
-    local_sgd_numba = None
-    linear_scores = linear_scores_numpy
-    local_loss_eval = local_loss_eval_numpy
-    client_eval = client_eval_numpy
-    local_sgd = local_sgd_numpy
-
-
-def warmup() -> str:
-    """Force JIT compilation of the active backend on tiny inputs.
-
-    Returns the active backend name. A no-op for the numpy backend.
-    """
-    features = np.array([[0.5, -0.25], [1.0, 2.0], [-1.5, 0.75]])
-    labels = np.array([1.0, -1.0, 1.0])
-    w = np.array([0.1, -0.2, 0.05])
-    linear_scores(features, w)
-    local_loss_eval(features, labels, w, 0.5, 1.0)
-    client_eval(features, labels, w, 0.5, 1.0)
-    local_sgd(features, labels, w, w, 0.5, 1.0, 2, 0.1, 0.5)
-    return BACKEND

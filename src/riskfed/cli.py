@@ -10,20 +10,13 @@ files: resolved_config.txt, metrics.csv, weights.csv, partition.csv.
 from __future__ import annotations
 
 import argparse
-import hashlib
 import re
 import sys
-from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
 
 from .errors import ConfigurationError, ExperimentError
-from .federation import (
-    ALGORITHMS,
-    ExperimentConfig,
-    build_data_and_plan,
-    run_experiment,
-)
+from .federation import ExperimentConfig, build_data_and_plan, run_experiment
 from .metrics import MetricsSink, write_metrics_csv
 from .partition import validate_partition, write_partition_csv
 
@@ -85,14 +78,6 @@ def parse_config(path) -> ExperimentConfig:
     missing = [k for k in _REQUIRED if _SCHEMA[k][0] not in values]
     if missing:
         raise ConfigurationError(f"{path}: missing required keys: {', '.join(missing)}")
-    if values.get("mu") and values.get("algorithm") != "fedprox":
-        raise ConfigurationError(
-            f"{path}:{lines['mu']}: mu applies to the fedprox algorithm only"
-        )
-    if values.get("algorithm") not in ALGORITHMS:
-        raise ConfigurationError(
-            f"{path}:{lines['algorithm']}: algorithm must be one of {ALGORITHMS}"
-        )
     config = ExperimentConfig(**values)
     try:
         config.validate()
@@ -112,49 +97,27 @@ def resolved_config_text(config: ExperimentConfig) -> str:
     return "\n".join(out) + "\n"
 
 
-def _fingerprint(text: str) -> str:
-    return hashlib.sha256(text.encode("utf-8")).hexdigest()
-
-
 def _write_weights_csv(weights, path) -> None:
     lines = ["index,value"]
     lines += [f"{i},{v:.17g}" for i, v in enumerate(weights)]
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
-@dataclass(frozen=True)
-class RunManifest:
-    """One invocation's identity: where it reads from and writes to."""
-
-    config_path: Path
-    config: ExperimentConfig
-    run_dir: Path
-    run_id: str
-
-
-def _new_manifest(config_path, out_dir) -> RunManifest:
-    config = parse_config(config_path)
-    stamp = datetime.now(timezone.utc).strftime("%Y%m%dT%H%M%S%f")
-    run_id = f"{stamp}-seed{config.seed}"
-    run_dir = Path(out_dir) / run_id
-    run_dir.mkdir(parents=True)
-    return RunManifest(config_path=Path(config_path), config=config,
-                       run_dir=run_dir, run_id=run_id)
-
-
 def _cmd_run(args) -> int:
-    manifest = _new_manifest(args.config, args.out)
-    result = run_experiment(manifest.config)
-    text = resolved_config_text(manifest.config)
-    (manifest.run_dir / "resolved_config.txt").write_text(text, encoding="utf-8")
-    sink = MetricsSink(run_id=manifest.run_id,
-                       config_fingerprint=_fingerprint(text))
+    config = parse_config(args.config)
+    stamp = datetime.now(timezone.utc).strftime("%Y%m%dT%H%M%S%f")
+    run_dir = Path(args.out) / f"{stamp}-seed{config.seed}"
+    run_dir.mkdir(parents=True)
+    result = run_experiment(config)
+    (run_dir / "resolved_config.txt").write_text(resolved_config_text(config),
+                                                 encoding="utf-8")
+    sink = MetricsSink()
     for record in result.records:
         sink.append(record)
-    write_metrics_csv(sink, manifest.run_dir / "metrics.csv")
-    _write_weights_csv(result.final_weights, manifest.run_dir / "weights.csv")
-    write_partition_csv(result.plan, manifest.run_dir / "partition.csv")
-    print(manifest.run_dir)
+    write_metrics_csv(sink, run_dir / "metrics.csv")
+    _write_weights_csv(result.final_weights, run_dir / "weights.csv")
+    write_partition_csv(result.plan, run_dir / "partition.csv")
+    print(run_dir)
     return 0
 
 

@@ -29,8 +29,8 @@ class NumericalError(ExperimentError):
 
 
 class PartitionError(ConfigurationError):
-    """Partition could not satisfy its invariants; retry with a new seed
-    or adjust the labels-per-client setting."""
+    """Partition could not satisfy its invariants, e.g. a client left
+    without records; the message names the client, its sectors and alpha."""
 
 
 class AggregationError(ExperimentError):

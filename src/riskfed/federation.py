@@ -26,7 +26,7 @@ from ._pcg import first_uniforms
 # temporal_split stays a name here: perfbench/child.py wraps it by this name
 from .data import generate_synthetic, load_csv, split_point, temporal_split  # noqa: F401
 from .errors import ConfigurationError, ExperimentError, NumericalError
-from .metrics import RoundRecord
+from .metrics import RoundRecord, accuracy
 from .model import init_weights
 from .partition import PartitionPlan, exdir_partition
 from .store import ClientStore, TrainPass
@@ -162,13 +162,10 @@ def _round_record(after: TrainPass, w_prev, store: ClientStore, round_index,
                   participants, completed) -> RoundRecord:
     """The round's metrics at its final weights; raises NumericalError when
     the train loss or the step norm is not finite."""
-    scores = _kernels.linear_scores(store.test.features, after.w)
-    acc = float(np.count_nonzero(store.test.labels * scores > 0.0))
-    acc /= store.test.labels.size
     record = RoundRecord(
         round=round_index,
         global_train_loss=after.train_loss,
-        test_accuracy=acc,
+        test_accuracy=accuracy(after.w, store.test),
         participants=int(participants),
         completed=int(completed),
         step_norm=float(np.linalg.norm(after.w - w_prev)),
@@ -194,8 +191,14 @@ def _map_clients(fn, survivors, workers):
     ids = [int(cid) for cid in survivors]
     if workers <= 1 or len(ids) <= 1:
         return [fn(cid) for cid in ids]
+    err = np.geterr()  # pool threads start from numpy's default error handling
+
+    def run(cid):
+        with np.errstate(**err):
+            return fn(cid)
+
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, ids))
+        return list(pool.map(run, ids))
 
 
 def _finish_round(w_next, before: TrainPass, store, config, round_index,
@@ -297,7 +300,12 @@ def build_clients(config: ExperimentConfig):
     """Materialize data, partition, and the store of per-client temporal
     splits; the store iterates over the clients in id order."""
     data, plan = build_data_and_plan(config)
-    cuts = [split_point(len(idx), config.train_fraction) for idx in plan.assignments]
+    cuts = []
+    for cid, idx in enumerate(plan.assignments):
+        try:
+            cuts.append(split_point(len(idx), config.train_fraction))
+        except ConfigurationError as exc:
+            raise ConfigurationError(f"client {cid}: {exc}") from None
     store = ClientStore.gather(
         data,
         [idx[:cut] for idx, cut in zip(plan.assignments, cuts)],
@@ -314,12 +322,15 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     state = store.evaluate(w0.copy(), config.beta, config.c)
     round_fn = _ROUND_FN[config.algorithm]
     records = []
-    for round_index in range(1, config.rounds + 1):
-        try:
-            state, record = round_fn(state, store, config, round_index)
-        except ExperimentError as exc:
-            raise type(exc)(f"round {round_index}: {exc}") from exc
-        records.append(record)
+    # a diverging run overflows before the per-round guard names its round;
+    # the guard's NumericalError is the report, not numpy's warnings
+    with np.errstate(over="ignore", invalid="ignore"):
+        for round_index in range(1, config.rounds + 1):
+            try:
+                state, record = round_fn(state, store, config, round_index)
+            except ExperimentError as exc:
+                raise type(exc)(f"round {round_index}: {exc}") from exc
+            records.append(record)
     return ExperimentResult(
         records=records,
         initial_weights=w0,

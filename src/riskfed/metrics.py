@@ -25,10 +25,8 @@ class RoundRecord:
 
 @dataclass
 class MetricsSink:
-    """Ordered round records plus run identity metadata (not serialized)."""
+    """Round records in increasing round order."""
 
-    run_id: str = ""
-    config_fingerprint: str = ""
     rows: list = field(default_factory=list)
 
     def append(self, record: RoundRecord) -> None:

@@ -1,9 +1,8 @@
-"""Linear prediction model and its per-sample parameter Jacobian.
+"""Weights of the linear model: one vector of length d+1, bias last.
 
-Weights are a single vector of length d+1 with the bias stored last, so
-regularization and curvature formulas treat every coordinate uniformly.
-The Jacobian interface keeps the scorer pluggable: anything exposing
-``predict`` and ``jacobian_row`` with these contracts can replace it.
+Storing the bias as the last coordinate lets regularization and
+curvature formulas treat every coordinate uniformly; the score of x is
+<w[:d], x> + w[d] (``_kernels.linear_scores``).
 """
 
 from __future__ import annotations
@@ -13,35 +12,6 @@ import numpy as np
 from .errors import ConfigurationError
 
 INIT_SCALE = 0.01
-
-
-def _check_dims(w: np.ndarray, x: np.ndarray) -> None:
-    if w.ndim != 1 or x.ndim != 1:
-        raise ConfigurationError("weights and features must be 1-D vectors")
-    if w.shape[0] != x.shape[0] + 1:
-        raise ConfigurationError(
-            f"weight length {w.shape[0]} does not match feature length "
-            f"{x.shape[0]} + 1 bias"
-        )
-
-
-def predict(w: np.ndarray, x: np.ndarray) -> float:
-    """Affine score <w[:d], x> + w[d]."""
-    w = np.asarray(w, dtype=np.float64)
-    x = np.asarray(x, dtype=np.float64)
-    _check_dims(w, x)
-    return float(w[:-1] @ x + w[-1])
-
-
-def jacobian_row(w: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Gradient of the score w.r.t. the weights: [x; 1] for the linear model."""
-    w = np.asarray(w, dtype=np.float64)
-    x = np.asarray(x, dtype=np.float64)
-    _check_dims(w, x)
-    row = np.empty(w.shape[0])
-    row[:-1] = x
-    row[-1] = 1.0
-    return row
 
 
 def init_weights(d: int, seed: int) -> np.ndarray:

@@ -1,4 +1,4 @@
-"""Risk-aware local and global objectives and their gradients.
+"""The risk-aware local objective, its gradient, and gradient aggregation.
 
 The local objective is 0.5*||w||^2 + (c/n) * sum_i max(0, R_i - q) with
 q the level-beta threshold of the current risks. Both the loss and the
@@ -29,7 +29,9 @@ class LocalEvaluation:
     threshold_q: float
 
 
-def _evaluate(w, data: LabeledDataset, beta: float, c: float) -> LocalEvaluation:
+def local_objective(w, data: LabeledDataset, beta: float, c: float) -> LocalEvaluation:
+    """Regularizer plus penalty-weighted hinge tail surrogate at w, and its
+    gradient w - (c/n) * sum over tail-active samples of y_i * [x_i; 1]."""
     if len(data) == 0:
         raise DataError("client dataset is empty")
     if c < 0:
@@ -40,16 +42,6 @@ def _evaluate(w, data: LabeledDataset, beta: float, c: float) -> LocalEvaluation
     return LocalEvaluation(
         loss=loss, gradient=grad, active_count=active, n_k=len(data), threshold_q=q
     )
-
-
-def local_loss(w, data: LabeledDataset, beta: float, c: float) -> LocalEvaluation:
-    """Regularizer plus penalty-weighted hinge tail surrogate at w."""
-    return _evaluate(w, data, beta, c)
-
-
-def local_gradient(w, data: LabeledDataset, beta: float, c: float) -> LocalEvaluation:
-    """Gradient w - (c/n) * sum over tail-active samples of y_i * [x_i; 1]."""
-    return _evaluate(w, data, beta, c)
 
 
 def aggregate_gradient(reports: list[ClientReport], total_n: int) -> np.ndarray:
@@ -65,13 +57,3 @@ def aggregate_gradient(reports: list[ClientReport], total_n: int) -> np.ndarray:
         g += (r.n_k / total_n) * r.gradient
     return g
 
-
-def global_loss(w, all_client_data: list[LabeledDataset], beta: float, c: float) -> float:
-    """Sample-count-weighted mean of local losses; metrics only."""
-    if not all_client_data:
-        raise DataError("no client datasets")
-    total = sum(len(d) for d in all_client_data)
-    value = 0.0
-    for shard in all_client_data:
-        value += (len(shard) / total) * local_loss(w, shard, beta, c).loss
-    return value

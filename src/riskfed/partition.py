@@ -95,10 +95,7 @@ def exdir_partition(
         idx = np.sort(np.concatenate(blocks[client])) if blocks[client] else \
             np.empty(0, dtype=np.int64)
         if idx.size == 0:
-            raise PartitionError(
-                f"client {client} received zero records; retry with a new seed "
-                f"or adjust labels_per_client"
-            )
+            raise _starved(client, data, eligible, alpha)
         assignments.append(idx)
     return PartitionPlan(
         assignments=tuple(assignments),
@@ -106,6 +103,23 @@ def exdir_partition(
         dirichlet_alpha=alpha,
         seed=seed,
     )
+
+
+def _starved(client, data, eligible, alpha) -> PartitionError:
+    """Why client received no records, and what to change."""
+    sectors = [s for s, members in eligible.items() if client in members]
+    where = " and ".join(f"sector {s}" for s in sectors)
+    for s in sectors:
+        held = int(np.count_nonzero(data.sectors == s))
+        if held < len(eligible[s]):
+            return PartitionError(
+                f"client {client} received zero records from {where}: sector {s} "
+                f"holds {held} records for {len(eligible[s])} clients; use fewer "
+                f"clients or more records")
+    return PartitionError(
+        f"client {client} received zero records from {where} at alpha = "
+        f"{alpha!r}; raise alpha for more even Dirichlet shares, or retry with "
+        f"a new seed")
 
 
 def validate_partition(plan: PartitionPlan, data: LabeledDataset) -> PartitionReport:

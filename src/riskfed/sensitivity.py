@@ -36,17 +36,6 @@ class ClientReport:
     active_count: int
 
 
-def client_gram(w: np.ndarray, data: LabeledDataset, beta: float) -> np.ndarray:
-    """Sum of [x;1] outer products over tail-active samples (zero if none)."""
-    if len(data) == 0:
-        raise DataError("client dataset is empty")
-    # gram is independent of the penalty weight; any positive c works
-    _, _, gram, _, _ = _kernels.client_eval(
-        data.features, data.labels, np.asarray(w, dtype=np.float64), beta, 1.0
-    )
-    return gram
-
-
 def client_report(
     w: np.ndarray, data: LabeledDataset, beta: float, c: float
 ) -> ClientReport:

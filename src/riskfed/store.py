@@ -7,7 +7,7 @@ scores every train row at one weight vector and returns each client's
 tail threshold, tail-active rows and local loss, plus the size-weighted
 train loss. Each quantity is computed with the same floating-point
 operations, on the same values, as the per-client numpy kernel
-``_kernels.client_eval_numpy``, so the results equal it bit for bit.
+``_kernels.client_eval``, so the results equal it bit for bit.
 """
 
 from __future__ import annotations

@@ -1,10 +1,12 @@
-"""Empirical loss distribution, tail threshold, and tail-risk measures.
+"""Reference oracles for the tests: the linear score, its Jacobian row,
+and the empirical risk distribution with its tail threshold and tail
+measures, written from their definitions and independent of the kernels.
 
 A risk vector holds one risk per sample at fixed weights. The threshold
-q is the order statistic of rank ceil(beta*n), i.e. the smallest value
-whose empirical CDF reaches beta. The tail is the set of samples whose
-risk strictly exceeds q; the distortion measure is the average risk over
-that tail, and the hinge surrogate is the mean positive part of (risk - q).
+q is the smallest risk whose empirical CDF reaches beta. The tail is the
+set of samples whose risk strictly exceeds q; the distortion measure is
+the average risk over that tail, and the hinge surrogate is the mean
+positive part of (risk - q).
 """
 
 from __future__ import annotations
@@ -13,9 +15,36 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._kernels import quantile_rank
-from .errors import ConfigurationError, DataError
-from .model import predict
+from riskfed.errors import ConfigurationError, DataError
+
+
+def _check_dims(w: np.ndarray, x: np.ndarray) -> None:
+    if w.ndim != 1 or x.ndim != 1:
+        raise ConfigurationError("weights and features must be 1-D vectors")
+    if w.shape[0] != x.shape[0] + 1:
+        raise ConfigurationError(
+            f"weight length {w.shape[0]} does not match feature length "
+            f"{x.shape[0]} + 1 bias"
+        )
+
+
+def predict(w: np.ndarray, x: np.ndarray) -> float:
+    """Affine score <w[:d], x> + w[d]."""
+    w = np.asarray(w, dtype=np.float64)
+    x = np.asarray(x, dtype=np.float64)
+    _check_dims(w, x)
+    return float(w[:-1] @ x + w[-1])
+
+
+def jacobian_row(w: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Gradient of the score w.r.t. the weights: [x; 1] for the linear model."""
+    w = np.asarray(w, dtype=np.float64)
+    x = np.asarray(x, dtype=np.float64)
+    _check_dims(w, x)
+    row = np.empty(w.shape[0])
+    row[:-1] = x
+    row[-1] = 1.0
+    return row
 
 
 @dataclass(frozen=True)
@@ -56,8 +85,10 @@ def beta_quantile(risks, beta: float) -> float:
     """Smallest risk value whose empirical CDF reaches beta."""
     risks = _as_risks(risks)
     _check_beta(beta)
-    k = quantile_rank(risks.size, beta)
-    return float(np.partition(risks, k - 1)[k - 1])
+    ordered = np.sort(risks)
+    # the CDF at each sorted risk: the count of risks <= it, over n
+    cdf = np.searchsorted(ordered, ordered, side="right") / ordered.size
+    return float(ordered[np.argmax(cdf >= beta)])
 
 
 def tail_threshold(risks, beta: float) -> TailThreshold:

@@ -1,40 +1,27 @@
 """Acceptance suite: one criterion per test, one pass/fail line per criterion.
 
 Run with ``pytest tests/test_acceptance.py -v -s`` to see the lines as
-they print. JIT warmup happens in a module fixture so compile time never
-counts against a criterion's runtime budget.
+they print.
 """
 
 import time
 
 import numpy as np
-import pytest
 
-from riskfed import _kernels
 from riskfed.cli import main
 from riskfed.federation import ExperimentConfig, build_data_and_plan, run_experiment
-from riskfed.objective import local_gradient
+from riskfed.objective import local_objective
 from riskfed.partition import exdir_partition, validate_partition
-from riskfed.risk import (
+from riskfed.sensitivity import aggregate_sensitivity, central_update, client_report
+
+from conftest import make_dataset
+from oracles import (
     beta_quantile,
     distortion_risk,
     empirical_cdf,
     hinge_surrogate,
     tail_threshold,
 )
-from riskfed.sensitivity import (
-    aggregate_sensitivity,
-    central_update,
-    client_gram,
-    client_report,
-)
-
-from conftest import make_dataset
-
-
-@pytest.fixture(scope="module", autouse=True)
-def warm_kernels():
-    _kernels.warmup()
 
 
 def report(num, name, ok, elapsed, detail=""):
@@ -84,7 +71,7 @@ def test_criterion_1_gradient_correctness():
         gaps = np.abs(risks - q)
         if np.any((gaps > 0) & (gaps < margin)):
             continue
-        grad = local_gradient(w, data, beta=0.8, c=c).gradient
+        grad = local_objective(w, data, beta=0.8, c=c).gradient
         # freeze the threshold just above q: the strict-exceedance active
         # set is unchanged and no sample sits on the hinge kink
         q_frozen = q + margin / 2
@@ -149,7 +136,7 @@ def test_criterion_3_curvature_correctness():
         data = make_dataset(rng.standard_normal((n, d)),
                             rng.choice([-1.0, 1.0], n))
         w = rng.standard_normal(d + 1)
-        gram = client_gram(w, data, beta=0.8)
+        gram = client_report(w, data, beta=0.8, c=1.0).gram
         if not np.allclose(gram, gram.T, atol=1e-12):
             failures.append("gram not symmetric")
         v = rng.standard_normal(d + 1)

@@ -1,6 +1,12 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import riskfed
 from riskfed.cli import main, parse_config, resolved_config_text
 from riskfed.errors import ConfigurationError
 
@@ -18,6 +24,19 @@ def write_config(tmp_path, text=MINIMAL, name="exp.conf"):
     path = tmp_path / name
     path.write_text(text, encoding="utf-8")
     return path
+
+
+def run_cli(*args):
+    """The riskfed CLI in a fresh interpreter, importing the riskfed under
+    test, with Python's default warning filters."""
+    env = dict(os.environ)
+    env.pop("PYTHONWARNINGS", None)
+    package_root = str(Path(riskfed.__file__).resolve().parent.parent)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (package_root, env.get("PYTHONPATH")) if p
+    )
+    return subprocess.run([sys.executable, "-m", "riskfed.cli", *args],
+                          capture_output=True, text=True, env=env)
 
 
 class TestParseConfig:
@@ -143,6 +162,42 @@ class TestMainRun:
             code = main(["run", "--config", str(config), "--out", str(tmp_path / "o")])
         assert code == 4
         assert "round 9: train loss is not finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("overrides, error", [
+        # the quickstart as fedavg: w @ w and the step norm overflow first
+        ("algorithm = fedavg\nlocal_lr = 1e6\n",
+         "round 26: train loss is not finite (inf)"),
+        # local training on two threads overflows inside the pool
+        ("algorithm = fedprox\nmu = 0.5\nlocal_lr = 1e150\nlocal_epochs = 5\n"
+         "workers = 2\n",
+         "round 1: weights are not finite after the update"),
+    ])
+    def test_divergence_prints_only_the_error_line(self, tmp_path, overrides, error):
+        text = ("clients = 10\nsamples_per_client = 1000\nrounds = 50\nseed = 42\n"
+                "d = 20\nnum_sectors = 2\nsignal = 2.5\n" + overrides)
+        config = write_config(tmp_path, text)
+        out = run_cli("run", "--config", str(config), "--out", str(tmp_path / "o"))
+        assert out.returncode == 4
+        assert out.stderr == f"error: {error}\n"
+
+    def test_starved_client_error_names_sector_and_alpha(self, tmp_path, capsys):
+        text = ("algorithm = fral_cse\nclients = 1000\nsamples_per_client = 40\n"
+                "rounds = 1\nseed = 7\nd = 30\nnum_sectors = 5\n")
+        config = write_config(tmp_path, text)
+        assert main(["partition-report", "--config", str(config)]) == 2
+        assert capsys.readouterr().err == (
+            "error: client 34 received zero records from sector 2 at alpha = 1.0; "
+            "raise alpha for more even Dirichlet shares, or retry with a new seed\n")
+        with_alpha = write_config(tmp_path, text + "alpha = 100\n", "alpha.conf")
+        assert main(["partition-report", "--config", str(with_alpha)]) == 0
+
+    def test_split_error_names_client(self, tmp_path, capsys):
+        text = ("algorithm = fral_cse\nclients = 100\nsamples_per_client = 1000\n"
+                "rounds = 1\nseed = 1\nd = 130\n")
+        config = write_config(tmp_path, text)
+        assert main(["run", "--config", str(config), "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err == (
+            "error: client 45: split of 1 records at fraction 0.8 leaves an empty side\n")
 
     def test_zero_rounds_header_only_metrics(self, tmp_path):
         config = write_config(tmp_path, MINIMAL.replace("rounds = 2", "rounds = 0"))

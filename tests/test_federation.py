@@ -14,7 +14,7 @@ from riskfed.federation import (
     sample_participants,
 )
 from riskfed.metrics import MetricsSink, write_metrics_csv
-from riskfed.objective import local_gradient
+from riskfed.objective import local_objective
 from riskfed.store import ClientState
 
 from conftest import make_dataset, make_store
@@ -150,7 +150,7 @@ class TestFralRound:
         clients = [client_from([[1.0, 0.0], [-2.0, 0.0]], [1.0, 1.0])]
         cfg = config(beta=0.5, c=1.0, epsilon=0.5)
         w = np.array([1.0, 0.0, 0.0])
-        grad = local_gradient(w, clients[0].train, beta=0.5, c=1.0).gradient
+        grad = local_objective(w, clients[0].train, beta=0.5, c=1.0).gradient
         jac = np.array([-2.0, 0.0, 1.0])
         s = np.eye(3) + 0.5 * np.outer(jac, jac)
         step = cramer3(s + 0.5 * np.eye(3), grad)
@@ -190,7 +190,7 @@ class TestFedavgRound:
         clients = [client_from([[1.0, 0.0], [-2.0, 0.0]], [1.0, 1.0])]
         cfg = config(algorithm="fedavg", local_epochs=1, local_lr=0.05, beta=0.5)
         w = np.array([1.0, 0.0, 0.0])
-        grad = local_gradient(w, clients[0].train, beta=0.5, c=1.0).gradient
+        grad = local_objective(w, clients[0].train, beta=0.5, c=1.0).gradient
         w_next, _ = run_round(run_round_fedavg, w, clients, cfg, round_index=1)
         np.testing.assert_allclose(w_next, w - 0.05 * grad, atol=1e-14)
 
@@ -258,7 +258,7 @@ class TestRunExperiment:
         paths = []
         for i, workers in enumerate((1, 8)):
             result = run_experiment(config(workers=workers, **cfg_kw))
-            sink = MetricsSink(run_id=str(i))
+            sink = MetricsSink()
             for r in result.records:
                 sink.append(r)
             path = tmp_path / f"m{i}.csv"

@@ -1,18 +1,10 @@
-import os
-import subprocess
-import sys
-from pathlib import Path
-
 import numpy as np
-import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-import riskfed
 from riskfed import _kernels
-from riskfed.risk import beta_quantile, empirical_cdf
 
-HAVE_NUMBA = _kernels.client_eval_numba is not None
-
-needs_numba = pytest.mark.skipif(not HAVE_NUMBA, reason="numba backend unavailable")
+from oracles import beta_quantile, empirical_cdf, tail_threshold
 
 
 def random_shard(rng, n=None, d=None):
@@ -43,6 +35,7 @@ class TestQuantileRank:
             beta = float(rng.uniform(0.01, 0.99))
             q = beta_quantile(risks, beta)
             assert empirical_cdf(risks, q) >= beta
+            assert np.sort(risks)[_kernels.quantile_rank(n, beta) - 1] == q
 
 
 class TestNumpyBackendAgainstComposition:
@@ -52,7 +45,7 @@ class TestNumpyBackendAgainstComposition:
             features, labels, w = random_shard(rng)
             beta = float(rng.uniform(0.2, 0.9))
             c = float(rng.uniform(0.2, 3.0))
-            loss, grad, gram, active, q = _kernels.client_eval_numpy(
+            loss, grad, gram, active, q = _kernels.client_eval(
                 features, labels, w, beta, c
             )
             n, d = features.shape
@@ -74,8 +67,8 @@ class TestNumpyBackendAgainstComposition:
         features, labels, w0 = random_shard(rng, n=25, d=4)
         anchor = rng.standard_normal(5)
         beta, c, lr, mu, epochs = 0.7, 1.3, 0.05, 0.4, 6
-        got = _kernels.local_sgd_numpy(features, labels, w0, anchor, beta, c,
-                                       epochs, lr, mu)
+        got = _kernels.local_sgd(features, labels, w0, anchor, beta, c,
+                                 epochs, lr, mu)
         n, d = features.shape
         xb = np.hstack([features, np.ones((n, 1))])
         w = w0.copy()
@@ -90,77 +83,18 @@ class TestNumpyBackendAgainstComposition:
         np.testing.assert_allclose(got, w, atol=1e-12)
 
 
-@needs_numba
-class TestBackendParity:
-    def test_client_eval(self):
-        rng = np.random.default_rng(13)
-        for _ in range(40):
-            features, labels, w = random_shard(rng)
-            beta = float(rng.uniform(0.2, 0.9))
-            c = float(rng.uniform(0.2, 3.0))
-            out_np = _kernels.client_eval_numpy(features, labels, w, beta, c)
-            out_nb = _kernels.client_eval_numba(features, labels, w, beta, c)
-            assert out_np[3] == out_nb[3]  # active counts agree
-            for a, b in zip(out_np, out_nb):
-                np.testing.assert_allclose(a, b, rtol=1e-9, atol=1e-12)
-
-    def test_local_loss_eval(self):
-        rng = np.random.default_rng(17)
-        for _ in range(40):
-            features, labels, w = random_shard(rng)
-            out_np = _kernels.local_loss_eval_numpy(features, labels, w, 0.8, 1.0)
-            out_nb = _kernels.local_loss_eval_numba(features, labels, w, 0.8, 1.0)
-            np.testing.assert_allclose(out_np, out_nb, rtol=1e-9, atol=1e-12)
-
-    def test_local_sgd(self):
-        rng = np.random.default_rng(19)
-        for _ in range(20):
-            features, labels, w0 = random_shard(rng, n=30)
-            anchor = np.zeros_like(w0)
-            out_np = _kernels.local_sgd_numpy(features, labels, w0, anchor,
-                                              0.8, 1.0, 5, 0.05, 0.1)
-            out_nb = _kernels.local_sgd_numba(features, labels, w0, anchor,
-                                              0.8, 1.0, 5, 0.05, 0.1)
-            np.testing.assert_allclose(out_np, out_nb, rtol=1e-9, atol=1e-12)
-
-    def test_linear_scores(self):
-        rng = np.random.default_rng(23)
-        features, labels, w = random_shard(rng, n=100, d=50)
-        np.testing.assert_allclose(
-            _kernels.linear_scores_numpy(features, w),
-            _kernels.linear_scores_numba(features, w),
-            rtol=1e-12,
-        )
-
-
-def run_with_backend(code, backend):
-    """Run ``code`` in a fresh interpreter with ``RISKFED_BACKEND=backend``.
-
-    The child inherits the caller's environment, with the directory that
-    holds the ``riskfed`` imported here put first on ``PYTHONPATH``, so it
-    imports the same package whether that is installed or run from ``src/``.
-    """
-    env = dict(os.environ, RISKFED_BACKEND=backend)
-    package_root = str(Path(riskfed.__file__).resolve().parent.parent)
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (package_root, env.get("PYTHONPATH")) if p
-    )
-    return subprocess.run([sys.executable, "-c", code],
-                          capture_output=True, text=True, env=env)
-
-
-class TestBackendSelection:
-    def test_env_flag_forces_numpy(self):
-        code = ("import riskfed._kernels as k; "
-                "print(k.BACKEND, k.client_eval is k.client_eval_numpy)")
-        out = run_with_backend(code, "numpy")
-        assert out.returncode == 0, out.stderr
-        assert out.stdout.split() == ["numpy", "True"]
-
-    def test_env_flag_rejects_unknown(self):
-        out = run_with_backend("import riskfed._kernels", "cuda")
-        assert out.returncode != 0
-        assert "RISKFED_BACKEND must be 'numba' or 'numpy', got 'cuda'" in out.stderr
-
-    def test_warmup_reports_backend(self):
-        assert _kernels.warmup() == _kernels.BACKEND
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.floats(-1e3, 1e3), min_size=1, max_size=3, unique=True),
+       st.data(), st.floats(0.01, 0.99))
+def test_client_eval_threshold_under_ties(values, data, beta):
+    # risks from one to three distinct values, all equal included; with
+    # labels -1, x = risk and w = [1, 0], the kernel sees exactly these risks
+    picks = data.draw(st.lists(st.sampled_from(values), min_size=1, max_size=40))
+    risks = np.array(picks)
+    features = risks[:, None].copy()
+    labels = -np.ones(risks.size)
+    _, _, _, active, q = _kernels.client_eval(features, labels, np.array([1.0, 0.0]),
+                                              beta, 1.0)
+    tail = tail_threshold(risks, beta)
+    assert q == beta_quantile(risks, beta) == tail.q
+    assert active == tail.tail_indices.size

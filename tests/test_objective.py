@@ -2,16 +2,11 @@ import numpy as np
 import pytest
 
 from riskfed.errors import AggregationError, DataError
-from riskfed.objective import (
-    aggregate_gradient,
-    global_loss,
-    local_gradient,
-    local_loss,
-)
-from riskfed.risk import beta_quantile, tail_threshold
+from riskfed.objective import aggregate_gradient, local_objective
 from riskfed.sensitivity import ClientReport
 
-from conftest import make_dataset
+from conftest import make_dataset, make_store
+from oracles import beta_quantile, tail_threshold
 
 
 def frozen_q_loss(w, data, q, c):
@@ -34,7 +29,7 @@ def random_instance(rng):
 class TestLocalLoss:
     def test_zero_weights_zero_loss(self, dataset_factory):
         data = dataset_factory([[1.0, 2.0], [3.0, -1.0], [0.5, 0.5]], [1, -1, 1])
-        ev = local_loss(np.zeros(3), data, beta=0.5, c=1.0)
+        ev = local_objective(np.zeros(3), data, beta=0.5, c=1.0)
         assert ev.loss == 0.0
         assert ev.threshold_q == 0.0
         assert ev.active_count == 0
@@ -42,20 +37,20 @@ class TestLocalLoss:
     def test_single_sample_regularizer_only(self, dataset_factory):
         # f = -1, risk = 1 = q (single sample), hinge 0, loss = ||w||^2/2
         data = dataset_factory([[1.0, 0.0]], [1])
-        ev = local_loss(np.array([-1.0, 0.0, 0.0]), data, beta=0.5, c=1.0)
+        ev = local_objective(np.array([-1.0, 0.0, 0.0]), data, beta=0.5, c=1.0)
         assert ev.loss == pytest.approx(0.5)
         assert ev.threshold_q == pytest.approx(1.0)
 
     def test_two_sample_hand_computed(self, dataset_factory):
         # w = [1,1,0]: risks 1 and 3, q = 1, hinge = (3-1)/2 = 1, loss = 1 + 2*1
         data = dataset_factory([[-1.0, 0.0], [-3.0, 0.0]], [1, 1])
-        ev = local_loss(np.array([1.0, 1.0, 0.0]), data, beta=0.5, c=2.0)
+        ev = local_objective(np.array([1.0, 1.0, 0.0]), data, beta=0.5, c=2.0)
         assert ev.loss == pytest.approx(3.0)
 
     def test_empty_dataset_rejected(self, dataset_factory):
         data = dataset_factory([[1.0, 0.0]], [1])
         with pytest.raises(DataError):
-            local_loss(np.zeros(3), data.subset([]), beta=0.5, c=1.0)
+            local_objective(np.zeros(3), data.subset([]), beta=0.5, c=1.0)
 
 
 class TestLocalGradient:
@@ -63,14 +58,14 @@ class TestLocalGradient:
         # w = [1,0,0]: risks are -1 and 2, q = -1, only the second is active;
         # gradient = w - (c/2) * y * [x; 1] = [1,0,0] - 0.5*[-2,0,1]
         data = dataset_factory([[1.0, 0.0], [-2.0, 0.0]], [1, 1])
-        ev = local_gradient(np.array([1.0, 0.0, 0.0]), data, beta=0.5, c=1.0)
+        ev = local_objective(np.array([1.0, 0.0, 0.0]), data, beta=0.5, c=1.0)
         np.testing.assert_allclose(ev.gradient, [2.0, 0.0, -0.5], atol=1e-15)
         assert ev.active_count == 1
 
     def test_no_active_samples_gradient_is_weights(self, dataset_factory):
         data = dataset_factory([[1.0, 2.0], [1.0, 2.0]], [1, 1])
         w = np.array([0.3, -0.2, 0.7])
-        ev = local_gradient(w, data, beta=0.5, c=1.0)
+        ev = local_objective(w, data, beta=0.5, c=1.0)
         np.testing.assert_array_equal(ev.gradient, w)
 
     def test_c_zero_reduces_to_regularizer(self, dataset_factory):
@@ -78,7 +73,7 @@ class TestLocalGradient:
         data = dataset_factory(rng.standard_normal((6, 3)),
                                rng.choice([-1.0, 1.0], 6))
         w = rng.standard_normal(4)
-        ev = local_gradient(w, data, beta=0.8, c=0.0)
+        ev = local_objective(w, data, beta=0.8, c=0.0)
         np.testing.assert_array_equal(ev.gradient, w)
 
     def test_finite_difference_agreement(self):
@@ -98,7 +93,7 @@ class TestLocalGradient:
             gaps = np.abs(risks - q)
             if np.any((gaps > 0) & (gaps < margin)):
                 continue
-            ev = local_gradient(w, data, beta=0.8, c=c)
+            ev = local_objective(w, data, beta=0.8, c=c)
             q_frozen = q + margin / 2
             fd = np.empty(w.size)
             for j in range(w.size):
@@ -117,7 +112,7 @@ class TestLocalGradient:
             w, data = random_instance(rng)
             risks = -data.labels * (data.features @ w[:-1] + w[-1])
             tail = tail_threshold(risks, 0.8)
-            ev = local_gradient(w, data, beta=0.8, c=1.0)
+            ev = local_objective(w, data, beta=0.8, c=1.0)
             assert ev.active_count == tail.tail_indices.size
 
 
@@ -155,26 +150,32 @@ class TestAggregateGradient:
         np.testing.assert_allclose(aggregate_gradient(reports, 12), g, rtol=1e-12)
 
 
+def train_loss(w, shards, beta, c):
+    """Size-weighted mean of the local losses, as a run computes it."""
+    store = make_store([(data, data) for data in shards])
+    return store.evaluate(np.asarray(w, dtype=np.float64), beta, c).train_loss
+
+
 class TestGlobalLoss:
     def test_identical_clients_equal_single_local(self, dataset_factory):
         rng = np.random.default_rng(43)
         data = dataset_factory(rng.standard_normal((8, 3)),
                                rng.choice([-1.0, 1.0], 8))
         w = rng.standard_normal(4)
-        single = local_loss(w, data, beta=0.8, c=1.0).loss
-        combined = global_loss(w, [data, data, data], beta=0.8, c=1.0)
+        single = local_objective(w, data, beta=0.8, c=1.0).loss
+        combined = train_loss(w, [data, data, data], beta=0.8, c=1.0)
         assert combined == pytest.approx(single, rel=1e-12)
 
     def test_zero_weights(self, dataset_factory):
         data = dataset_factory([[1.0, 0.0], [0.0, 1.0]], [1, -1])
-        assert global_loss(np.zeros(3), [data, data], beta=0.5, c=1.0) == 0.0
+        assert train_loss(np.zeros(3), [data, data], beta=0.5, c=1.0) == 0.0
 
     def test_weighted_mean_of_losses(self, dataset_factory):
         # client A: 1 sample, loss = 1; client B: 3 samples, loss = 1 + 2 = 3
         w = np.array([1.0, 1.0, 0.0])
         client_a = dataset_factory([[-5.0, 4.0]], [1])
         client_b = dataset_factory([[0.0, 0.0], [0.0, 0.0], [-6.0, 0.0]], [1, 1, 1])
-        assert local_loss(w, client_a, beta=0.5, c=1.0).loss == pytest.approx(1.0)
-        assert local_loss(w, client_b, beta=0.5, c=1.0).loss == pytest.approx(3.0)
-        got = global_loss(w, [client_a, client_b], beta=0.5, c=1.0)
+        assert local_objective(w, client_a, beta=0.5, c=1.0).loss == pytest.approx(1.0)
+        assert local_objective(w, client_b, beta=0.5, c=1.0).loss == pytest.approx(3.0)
+        got = train_loss(w, [client_a, client_b], beta=0.5, c=1.0)
         assert got == pytest.approx(2.5)

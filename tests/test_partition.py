@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from riskfed.data import generate_synthetic
 from riskfed.errors import PartitionError
@@ -111,9 +113,25 @@ class TestExdirPartition:
     def test_zero_record_client_rejected(self):
         # one record in a group shared by two clients starves one of them
         data = sectored_dataset([1])
-        with pytest.raises(PartitionError):
+        with pytest.raises(PartitionError, match="holds 1 records for 2 clients"):
             exdir_partition(data, num_clients=2, labels_per_client=1,
                             alpha=1.0, seed=0)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.integers(0, 5), min_size=1, max_size=80), st.integers(1, 12),
+       st.integers(1, 4), st.floats(0.01, 1e4), st.integers(0, 2**32 - 1))
+def test_partition_invariants(sectors, num_clients, labels_per_client, alpha, seed):
+    """Any plan returned is valid and gives each client at most C sectors."""
+    data = make_dataset(np.zeros((len(sectors), 2)), np.ones(len(sectors)), sectors)
+    try:
+        plan = exdir_partition(data, num_clients, labels_per_client, alpha, seed)
+    except PartitionError:
+        return
+    assert plan.num_clients == num_clients
+    assert validate_partition(plan, data).ok
+    for idx in plan.assignments:
+        assert np.unique(data.sectors[idx]).size <= labels_per_client
 
 
 class TestValidatePartition:

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from riskfed.errors import ConfigurationError, DataError
-from riskfed.risk import (
+
+from oracles import (
     beta_quantile,
     distortion_risk,
     empirical_cdf,

@@ -6,7 +6,6 @@ from riskfed.sensitivity import (
     ClientReport,
     aggregate_sensitivity,
     central_update,
-    client_gram,
     client_report,
 )
 
@@ -40,19 +39,19 @@ class TestClientGram:
     def test_single_active_outer_product(self, dataset_factory):
         # w = [-1,0,0]: risks 1 and -1, q = -1, only x=[1,0] active
         data = dataset_factory([[1.0, 0.0], [-1.0, 0.0]], [1, 1])
-        gram = client_gram(np.array([-1.0, 0.0, 0.0]), data, beta=0.5)
+        gram = client_report(np.array([-1.0, 0.0, 0.0]), data, beta=0.5, c=1.0).gram
         expected = np.outer([1.0, 0.0, 1.0], [1.0, 0.0, 1.0])
         np.testing.assert_array_equal(gram, expected)
 
     def test_no_active_zero_matrix(self, dataset_factory):
         data = dataset_factory([[1.0, 2.0], [1.0, 2.0]], [1, 1])
-        gram = client_gram(np.array([0.5, -0.5, 0.1]), data, beta=0.5)
+        gram = client_report(np.array([0.5, -0.5, 0.1]), data, beta=0.5, c=1.0).gram
         np.testing.assert_array_equal(gram, np.zeros((3, 3)))
 
     def test_two_active_sum_of_outer_products(self, dataset_factory):
         # w = [-1,-1,0]: risks 1, 1, -3; beta=0.3 -> q=-3, both unit rows active
         data = dataset_factory([[1.0, 0.0], [0.0, 1.0], [-3.0, 0.0]], [1, 1, 1])
-        gram = client_gram(np.array([-1.0, -1.0, 0.0]), data, beta=0.3)
+        gram = client_report(np.array([-1.0, -1.0, 0.0]), data, beta=0.3, c=1.0).gram
         expected = (np.outer([1.0, 0.0, 1.0], [1.0, 0.0, 1.0])
                     + np.outer([0.0, 1.0, 1.0], [0.0, 1.0, 1.0]))
         np.testing.assert_array_equal(gram, expected)
@@ -65,7 +64,8 @@ class TestClientGram:
             n = int(rng.integers(2, 25))
             data = make_dataset(rng.standard_normal((n, d)),
                                 rng.choice([-1.0, 1.0], n))
-            gram = client_gram(rng.standard_normal(d + 1), data, beta=0.8)
+            w = rng.standard_normal(d + 1)
+            gram = client_report(w, data, beta=0.8, c=1.0).gram
             np.testing.assert_allclose(gram, gram.T, atol=1e-12)
             v = rng.standard_normal(d + 1)
             assert v @ gram @ v >= -1e-10

@@ -58,7 +58,7 @@ def test_evaluate_equals_per_client_kernel(case):
     total = 0.0
     n_all = len(store.train)
     for k, client in enumerate(store):
-        loss, _, _, active, q = _kernels.client_eval_numpy(
+        loss, _, _, active, q = _kernels.client_eval(
             client.train.features, client.train.labels, w, beta, c)
         assert result.q[k] == q
         assert result.active_counts[k] == active
