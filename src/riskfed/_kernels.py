@@ -48,14 +48,8 @@ def linear_scores(features: np.ndarray, w: np.ndarray) -> np.ndarray:
 
 def local_loss_eval(features, labels, w, beta, c):
     """Loss-only evaluation: (loss, threshold q, active tail count)."""
-    n = features.shape[0]
-    risks = -labels * linear_scores(features, w)
-    k = quantile_rank(n, beta)
-    q = np.partition(risks, k - 1)[k - 1]
-    active = risks > q
-    hinge = float(np.sum(risks[active] - q))
-    loss = 0.5 * float(w @ w) + (c / n) * hinge
-    return loss, float(q), int(np.count_nonzero(active))
+    loss, _, _, active, q = client_eval(features, labels, w, beta, c)
+    return loss, q, active
 
 
 def client_eval(features, labels, w, beta, c):

@@ -16,37 +16,13 @@ from datetime import datetime, timezone
 from pathlib import Path
 
 from .errors import ConfigurationError, ExperimentError
-from .federation import ExperimentConfig, build_data_and_plan, run_experiment
-from .metrics import MetricsSink, write_metrics_csv
+from .federation import (CONFIG_SCHEMA, ExperimentConfig, build_data_and_plan,
+                         run_experiment)
+from .metrics import write_metrics_csv
 from .partition import validate_partition, write_partition_csv
 
 _COMMENT = re.compile(r"(^|\s)#.*")
 _REQUIRED = ("algorithm", "clients", "samples_per_client", "rounds", "seed")
-
-# external key -> (config attribute, parser)
-_SCHEMA = {
-    "algorithm": ("algorithm", str),
-    "clients": ("clients", int),
-    "samples_per_client": ("samples_per_client", int),
-    "rounds": ("rounds", int),
-    "seed": ("seed", int),
-    "d": ("d", int),
-    "num_sectors": ("num_sectors", int),
-    "signal": ("signal", float),
-    "data_csv": ("data_csv", str),
-    "train_fraction": ("train_fraction", float),
-    "C": ("labels_per_client", int),
-    "alpha": ("dirichlet_alpha", float),
-    "beta": ("beta", float),
-    "c": ("c", float),
-    "epsilon": ("epsilon", float),
-    "participation_rate": ("participation_rate", float),
-    "dropout_rate": ("dropout_rate", float),
-    "local_epochs": ("local_epochs", int),
-    "local_lr": ("local_lr", float),
-    "mu": ("mu", float),
-    "workers": ("workers", int),
-}
 
 
 def parse_config(path) -> ExperimentConfig:
@@ -62,11 +38,11 @@ def parse_config(path) -> ExperimentConfig:
         if "=" not in line:
             raise ConfigurationError(f"{path}:{lineno}: expected 'key = value'")
         key, _, value = (part.strip() for part in line.partition("="))
-        if key not in _SCHEMA:
+        if key not in CONFIG_SCHEMA:
             raise ConfigurationError(f"{path}:{lineno}: unknown key {key!r}")
         if key in values:
             raise ConfigurationError(f"{path}:{lineno}: duplicate key {key!r}")
-        attr, cast = _SCHEMA[key]
+        attr, cast = CONFIG_SCHEMA[key]
         try:
             values[attr] = cast(value)
         except ValueError:
@@ -75,7 +51,7 @@ def parse_config(path) -> ExperimentConfig:
             ) from None
         lines[key] = lineno
 
-    missing = [k for k in _REQUIRED if _SCHEMA[k][0] not in values]
+    missing = [k for k in _REQUIRED if CONFIG_SCHEMA[k][0] not in values]
     if missing:
         raise ConfigurationError(f"{path}: missing required keys: {', '.join(missing)}")
     config = ExperimentConfig(**values)
@@ -91,7 +67,7 @@ def parse_config(path) -> ExperimentConfig:
 def resolved_config_text(config: ExperimentConfig) -> str:
     """Canonical flat rendering of a fully-defaulted config."""
     out = []
-    for key, (attr, cast) in _SCHEMA.items():
+    for key, (attr, cast) in CONFIG_SCHEMA.items():
         value = getattr(config, attr)
         out.append(f"{key} = {repr(float(value)) if cast is float else value}")
     return "\n".join(out) + "\n"
@@ -106,15 +82,12 @@ def _write_weights_csv(weights, path) -> None:
 def _cmd_run(args) -> int:
     config = parse_config(args.config)
     stamp = datetime.now(timezone.utc).strftime("%Y%m%dT%H%M%S%f")
+    result = run_experiment(config)
     run_dir = Path(args.out) / f"{stamp}-seed{config.seed}"
     run_dir.mkdir(parents=True)
-    result = run_experiment(config)
     (run_dir / "resolved_config.txt").write_text(resolved_config_text(config),
                                                  encoding="utf-8")
-    sink = MetricsSink()
-    for record in result.records:
-        sink.append(record)
-    write_metrics_csv(sink, run_dir / "metrics.csv")
+    write_metrics_csv(result.records, run_dir / "metrics.csv")
     _write_weights_csv(result.final_weights, run_dir / "weights.csv")
     write_partition_csv(result.plan, run_dir / "partition.csv")
     print(run_dir)

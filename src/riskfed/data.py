@@ -61,15 +61,6 @@ class LabeledDataset:
         )
 
 
-@dataclass(frozen=True)
-class SplitDataset:
-    """Order-preserving train/test division of one dataset."""
-
-    train: LabeledDataset
-    test: LabeledDataset
-    train_fraction: float
-
-
 def generate_synthetic(
     n: int, d: int, num_sectors: int, seed: int, signal: float = 1.0
 ) -> LabeledDataset:
@@ -182,12 +173,11 @@ def split_point(n: int, fraction: float) -> int:
     return cut
 
 
-def temporal_split(data: LabeledDataset, fraction: float) -> SplitDataset:
-    """First floor(fraction*n) records train, the rest test; no shuffling."""
+def temporal_split(
+    data: LabeledDataset, fraction: float
+) -> tuple[LabeledDataset, LabeledDataset]:
+    """(train, test): the first floor(fraction*n) records train, the rest
+    test; no shuffling."""
     n = len(data)
     cut = split_point(n, fraction)
-    return SplitDataset(
-        train=data.subset(np.arange(cut)),
-        test=data.subset(np.arange(cut, n)),
-        train_fraction=fraction,
-    )
+    return data.subset(np.arange(cut)), data.subset(np.arange(cut, n))

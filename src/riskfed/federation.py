@@ -10,14 +10,16 @@ change an outcome.
 Clients live in one ``ClientStore``. Each round starts from the store's
 evaluation at the broadcast weights and ends with the one evaluation at
 the new weights, which gives the round's train loss and starts the next
-round.
+round. All algorithms share that round; only the step from the survivors
+to the new weights differs: the curvature step of fral_cse, or the
+averaging step of fedprox, of which fedavg is the case mu = 0.
 """
 
 from __future__ import annotations
 
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -43,6 +45,32 @@ _DROPOUT_STREAM = 5
 
 def _child_seed(seed: int, stream: int) -> int:
     return int(np.random.SeedSequence([seed, stream]).generate_state(1, np.uint64)[0])
+
+
+# config-file key -> (ExperimentConfig attribute, parser)
+CONFIG_SCHEMA = {
+    "algorithm": ("algorithm", str),
+    "clients": ("clients", int),
+    "samples_per_client": ("samples_per_client", int),
+    "rounds": ("rounds", int),
+    "seed": ("seed", int),
+    "d": ("d", int),
+    "num_sectors": ("num_sectors", int),
+    "signal": ("signal", float),
+    "data_csv": ("data_csv", str),
+    "train_fraction": ("train_fraction", float),
+    "C": ("labels_per_client", int),
+    "alpha": ("dirichlet_alpha", float),
+    "beta": ("beta", float),
+    "c": ("c", float),
+    "epsilon": ("epsilon", float),
+    "participation_rate": ("participation_rate", float),
+    "dropout_rate": ("dropout_rate", float),
+    "local_epochs": ("local_epochs", int),
+    "local_lr": ("local_lr", float),
+    "mu": ("mu", float),
+    "workers": ("workers", int),
+}
 
 
 @dataclass
@@ -105,7 +133,7 @@ class ExperimentConfig:
         for ok, key, expected in checks:
             if not ok:
                 raise ConfigurationError(
-                    f"{key} = {getattr(self, _FIELD_BY_KEY.get(key, key))!r} "
+                    f"{key} = {getattr(self, CONFIG_SCHEMA[key][0])!r} "
                     f"out of range, expected {expected}"
                 )
         if self.algorithm == "fral_cse" and self.local_epochs != 0:
@@ -117,9 +145,6 @@ class ExperimentConfig:
             raise ConfigurationError("mu applies to the fedprox algorithm only")
 
 
-_FIELD_BY_KEY = {"C": "labels_per_client", "alpha": "dirichlet_alpha"}
-
-
 @dataclass
 class ExperimentResult:
     """Everything a run produces beyond the metrics rows."""
@@ -128,7 +153,6 @@ class ExperimentResult:
     initial_weights: np.ndarray
     final_weights: np.ndarray
     plan: PartitionPlan
-    clients: list = field(default_factory=list)
 
 
 def sample_participants(
@@ -158,35 +182,6 @@ def apply_dropout(
     return np.sort(participants[draws >= rate])
 
 
-def _round_record(after: TrainPass, w_prev, store: ClientStore, round_index,
-                  participants, completed) -> RoundRecord:
-    """The round's metrics at its final weights; raises NumericalError when
-    the train loss or the step norm is not finite."""
-    record = RoundRecord(
-        round=round_index,
-        global_train_loss=after.train_loss,
-        test_accuracy=accuracy(after.w, store.test),
-        participants=int(participants),
-        completed=int(completed),
-        step_norm=float(np.linalg.norm(after.w - w_prev)),
-    )
-    for name, value in (("train loss", record.global_train_loss),
-                        ("step norm", record.step_norm)):
-        if not np.isfinite(value):
-            raise NumericalError(f"{name} is not finite ({value})")
-    return record
-
-
-def _survivors(config, round_index):
-    participants = sample_participants(
-        config.clients, config.participation_rate, round_index, config.seed
-    )
-    survivors = apply_dropout(
-        participants, config.dropout_rate, round_index, config.seed
-    )
-    return participants, survivors
-
-
 def _map_clients(fn, survivors, workers):
     ids = [int(cid) for cid in survivors]
     if workers <= 1 or len(ids) <= 1:
@@ -201,26 +196,9 @@ def _map_clients(fn, survivors, workers):
         return list(pool.map(run, ids))
 
 
-def _finish_round(w_next, before: TrainPass, store, config, round_index,
-                  participants, survivors):
-    """Evaluate w_next once: the pass gives this round's train loss and is
-    the next round's evaluation at its broadcast weights."""
-    if not np.all(np.isfinite(w_next)):
-        raise NumericalError("weights are not finite after the update")
-    after = store.evaluate(w_next, config.beta, config.c)
-    record = _round_record(after, before.w, store, round_index,
-                           participants.size, survivors.size)
-    return after, record
-
-
-def run_round_fral(state: TrainPass, store: ClientStore, config, round_index):
-    """One curvature-accelerated round from the evaluation at the broadcast
-    weights: S and g from the survivors' tail-active rows, then the damped
+def _fral_step(state: TrainPass, store: ClientStore, config, survivors):
+    """S and g from the survivors' tail-active rows, then the damped
     second-order central update."""
-    participants, survivors = _survivors(config, round_index)
-    if survivors.size == 0:
-        return state, _round_record(state, state.w, store, round_index,
-                                    participants.size, 0)
     in_round = np.zeros(len(store), dtype=bool)
     in_round[survivors] = True
     rows = state.active_rows[np.repeat(in_round, state.active_counts)]
@@ -228,23 +206,19 @@ def run_round_fral(state: TrainPass, store: ClientStore, config, round_index):
         state.w, store.train.features[rows], store.train.labels[rows],
         int(store.train_sizes[survivors].sum()), config.c,
     )
-    w_next = sensitivity.central_update(state.w, s, g, config.epsilon)
-    return _finish_round(w_next, state, store, config, round_index,
-                         participants, survivors)
+    return sensitivity.central_update(state.w, s, g, config.epsilon)
 
 
-def _run_round_averaging(state, store, config, round_index, mu):
-    participants, survivors = _survivors(config, round_index)
-    if survivors.size == 0:
-        return state, _round_record(state, state.w, store, round_index,
-                                    participants.size, 0)
+def _averaging_step(state: TrainPass, store: ClientStore, config, survivors):
+    """Local full-batch descent with the proximal pull mu*(w - w_t), then
+    the size-weighted mean; fedavg is this step at mu = 0."""
     w = state.w
 
     def train(cid):
         shard = store[cid].train
         local_w = _kernels.local_sgd(
             shard.features, shard.labels, w, w, config.beta, config.c,
-            config.local_epochs, config.local_lr, mu,
+            config.local_epochs, config.local_lr, config.mu,
         )
         return len(shard), local_w
 
@@ -253,24 +227,56 @@ def _run_round_averaging(state, store, config, round_index, mu):
     w_next = np.zeros_like(w)
     for n, local_w in results:
         w_next += (n / total_n) * local_w
-    return _finish_round(w_next, state, store, config, round_index,
-                         participants, survivors)
+    return w_next
 
 
-def run_round_fedavg(state, store, config, round_index):
-    """One averaging round: local full-batch descent, size-weighted mean."""
-    return _run_round_averaging(state, store, config, round_index, 0.0)
+def _round(state: TrainPass, store: ClientStore, config, round_index, step):
+    """One round from the evaluation at the broadcast weights.
+
+    The survivors' step gives w_next, whose one evaluation yields this
+    round's train loss and starts the next round; a round without
+    survivors keeps its weights. Raises NumericalError when the weights,
+    the train loss or the step norm is not finite.
+    """
+    participants = sample_participants(config.clients, config.participation_rate,
+                                       round_index, config.seed)
+    survivors = apply_dropout(participants, config.dropout_rate, round_index,
+                              config.seed)
+    after = state
+    if survivors.size:
+        w_next = step(state, store, config, survivors)
+        if not np.all(np.isfinite(w_next)):
+            raise NumericalError("weights are not finite after the update")
+        after = store.evaluate(w_next, config.beta, config.c)
+    record = RoundRecord(
+        round=round_index,
+        global_train_loss=after.train_loss,
+        test_accuracy=accuracy(after.w, store.test),
+        participants=int(participants.size),
+        completed=int(survivors.size),
+        step_norm=float(np.linalg.norm(after.w - state.w)),
+    )
+    for name, value in (("train loss", record.global_train_loss),
+                        ("step norm", record.step_norm)):
+        if not np.isfinite(value):
+            raise NumericalError(f"{name} is not finite ({value})")
+    return after, record
 
 
-def run_round_fedprox(state, store, config, round_index):
-    """Averaging round whose local steps add the proximal pull mu*(w - w_t)."""
-    return _run_round_averaging(state, store, config, round_index, config.mu)
+def run_round_fral(state, store, config, round_index):
+    """One curvature-accelerated fral_cse round."""
+    return _round(state, store, config, round_index, _fral_step)
+
+
+def run_round_averaging(state, store, config, round_index):
+    """One fedavg or fedprox round; validate keeps mu = 0 for fedavg."""
+    return _round(state, store, config, round_index, _averaging_step)
 
 
 _ROUND_FN = {
     "fral_cse": run_round_fral,
-    "fedavg": run_round_fedavg,
-    "fedprox": run_round_fedprox,
+    "fedavg": run_round_averaging,
+    "fedprox": run_round_averaging,
 }
 
 
@@ -336,5 +342,4 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
         initial_weights=w0,
         final_weights=state.w,
         plan=plan,
-        clients=list(store),
     )

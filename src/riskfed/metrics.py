@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -23,20 +23,6 @@ class RoundRecord:
     step_norm: float
 
 
-@dataclass
-class MetricsSink:
-    """Round records in increasing round order."""
-
-    rows: list = field(default_factory=list)
-
-    def append(self, record: RoundRecord) -> None:
-        if self.rows and record.round <= self.rows[-1].round:
-            raise DataError(
-                f"round {record.round} does not increase on {self.rows[-1].round}"
-            )
-        self.rows.append(record)
-
-
 def accuracy(w: np.ndarray, data: LabeledDataset) -> float:
     """Fraction of samples with y * score strictly positive; ties count wrong."""
     if len(data) == 0:
@@ -45,10 +31,11 @@ def accuracy(w: np.ndarray, data: LabeledDataset) -> float:
     return float(np.count_nonzero(data.labels * scores > 0.0)) / len(data)
 
 
-def write_metrics_csv(sink: MetricsSink, path) -> None:
-    """Deterministic CSV: header plus one row per round, floats at 17 digits."""
+def write_metrics_csv(records, path) -> None:
+    """Deterministic CSV: header plus one row per RoundRecord, in the given
+    order, floats at 17 digits."""
     lines = ["round,train_loss,test_accuracy,participants,completed,step_norm"]
-    for r in sink.rows:
+    for r in records:
         lines.append(
             f"{r.round},{r.global_train_loss:.17g},{r.test_accuracy:.17g},"
             f"{r.participants},{r.completed},{r.step_norm:.17g}"

@@ -1,47 +1,20 @@
-"""The risk-aware local objective, its gradient, and gradient aggregation.
+"""Gradient aggregation over per-client reports.
 
 The local objective is 0.5*||w||^2 + (c/n) * sum_i max(0, R_i - q) with
-q the level-beta threshold of the current risks. Both the loss and the
-gradient treat q as a constant of the evaluation: the gradient carries
-no dq/dw term, and samples contribute only while strictly above q.
+q the level-beta threshold of the current risks. ``sensitivity.client_report``
+gives its loss and gradient at fixed weights, with q held constant: no
+dq/dw term, and samples count only while strictly above q. A run sums the
+survivors' rows in ``sensitivity.tail_system`` instead; ``aggregate_gradient``
+stays as the per-client reference for that sum, which perfbench/child.py
+wraps by name.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from . import _kernels
-from .data import LabeledDataset
-from .errors import AggregationError, DataError
+from .errors import AggregationError
 from .sensitivity import ClientReport
-
-
-@dataclass(frozen=True)
-class LocalEvaluation:
-    """Loss and gradient of one client's objective at fixed weights."""
-
-    loss: float
-    gradient: np.ndarray
-    active_count: int
-    n_k: int
-    threshold_q: float
-
-
-def local_objective(w, data: LabeledDataset, beta: float, c: float) -> LocalEvaluation:
-    """Regularizer plus penalty-weighted hinge tail surrogate at w, and its
-    gradient w - (c/n) * sum over tail-active samples of y_i * [x_i; 1]."""
-    if len(data) == 0:
-        raise DataError("client dataset is empty")
-    if c < 0:
-        raise DataError(f"penalty weight c must be nonnegative, got {c}")
-    loss, grad, _, active, q = _kernels.client_eval(
-        data.features, data.labels, np.asarray(w, dtype=np.float64), beta, c
-    )
-    return LocalEvaluation(
-        loss=loss, gradient=grad, active_count=active, n_k=len(data), threshold_q=q
-    )
 
 
 def aggregate_gradient(reports: list[ClientReport], total_n: int) -> np.ndarray:
@@ -56,4 +29,3 @@ def aggregate_gradient(reports: list[ClientReport], total_n: int) -> np.ndarray:
     for r in reports:
         g += (r.n_k / total_n) * r.gradient
     return g
-

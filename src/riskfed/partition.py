@@ -21,12 +21,9 @@ from .errors import PartitionError
 
 @dataclass(frozen=True)
 class PartitionPlan:
-    """Per-client record indices plus the parameters that produced them."""
+    """Per-client record indices: client k holds rows assignments[k]."""
 
     assignments: tuple
-    labels_per_client: int
-    dirichlet_alpha: float
-    seed: int
 
     @property
     def num_clients(self) -> int:
@@ -97,12 +94,7 @@ def exdir_partition(
         if idx.size == 0:
             raise _starved(client, data, eligible, alpha)
         assignments.append(idx)
-    return PartitionPlan(
-        assignments=tuple(assignments),
-        labels_per_client=labels_per_client,
-        dirichlet_alpha=alpha,
-        seed=seed,
-    )
+    return PartitionPlan(assignments=tuple(assignments))
 
 
 def _starved(client, data, eligible, alpha) -> PartitionError:

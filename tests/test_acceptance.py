@@ -10,7 +10,6 @@ import numpy as np
 
 from riskfed.cli import main
 from riskfed.federation import ExperimentConfig, build_data_and_plan, run_experiment
-from riskfed.objective import local_objective
 from riskfed.partition import exdir_partition, validate_partition
 from riskfed.sensitivity import aggregate_sensitivity, central_update, client_report
 
@@ -71,7 +70,7 @@ def test_criterion_1_gradient_correctness():
         gaps = np.abs(risks - q)
         if np.any((gaps > 0) & (gaps < margin)):
             continue
-        grad = local_objective(w, data, beta=0.8, c=c).gradient
+        grad = client_report(w, data, beta=0.8, c=c).gradient
         # freeze the threshold just above q: the strict-exceedance active
         # set is unchanged and no sample sits on the hinge kink
         q_frozen = q + margin / 2

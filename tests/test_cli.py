@@ -151,6 +151,7 @@ class TestMainRun:
         config = write_config(tmp_path, MINIMAL + f"data_csv = {bad}\n")
         code = main(["run", "--config", str(config), "--out", str(tmp_path / "o")])
         assert code == 3
+        assert list((tmp_path / "o").glob("*")) == []  # no run directory left
 
     def test_divergence_exit_code_four_names_round(self, tmp_path, capsys):
         # fedavg at local_lr = 1e6 overflows; the train loss first reads inf
@@ -162,6 +163,7 @@ class TestMainRun:
             code = main(["run", "--config", str(config), "--out", str(tmp_path / "o")])
         assert code == 4
         assert "round 9: train loss is not finite" in capsys.readouterr().err
+        assert list((tmp_path / "o").glob("*")) == []  # no run directory left
 
     @pytest.mark.parametrize("overrides, error", [
         # the quickstart as fedavg: w @ w and the step norm overflow first
@@ -188,6 +190,8 @@ class TestMainRun:
         assert capsys.readouterr().err == (
             "error: client 34 received zero records from sector 2 at alpha = 1.0; "
             "raise alpha for more even Dirichlet shares, or retry with a new seed\n")
+        assert main(["run", "--config", str(config), "--out", str(tmp_path / "o")]) == 2
+        assert list((tmp_path / "o").glob("*")) == []  # no run directory left
         with_alpha = write_config(tmp_path, text + "alpha = 100\n", "alpha.conf")
         assert main(["partition-report", "--config", str(with_alpha)]) == 0
 

@@ -126,26 +126,26 @@ class TestTemporalSplit:
         )
 
     def test_eighty_twenty(self):
-        split = temporal_split(self._sequential(10), 0.8)
-        assert len(split.train) == 8
-        assert len(split.test) == 2
-        np.testing.assert_array_equal(split.test.features,
+        train, test = temporal_split(self._sequential(10), 0.8)
+        assert len(train) == 8
+        assert len(test) == 2
+        np.testing.assert_array_equal(test.features,
                                       [[16.0, 17.0], [18.0, 19.0]])
 
     def test_fifty_fifty(self):
-        split = temporal_split(self._sequential(10), 0.5)
-        assert len(split.train) == 5
-        assert len(split.test) == 5
+        train, test = temporal_split(self._sequential(10), 0.5)
+        assert len(train) == 5
+        assert len(test) == 5
 
     def test_floor_arithmetic(self):
-        split = temporal_split(self._sequential(3), 0.9)
-        assert len(split.train) == 2
-        assert len(split.test) == 1
+        train, test = temporal_split(self._sequential(3), 0.9)
+        assert len(train) == 2
+        assert len(test) == 1
 
     def test_concatenation_recovers_input(self):
         data = self._sequential(17)
-        split = temporal_split(data, 0.7)
-        recovered = np.vstack([split.train.features, split.test.features])
+        train, test = temporal_split(data, 0.7)
+        recovered = np.vstack([train.features, test.features])
         np.testing.assert_array_equal(recovered, data.features)
 
     def test_empty_side_rejected(self):

@@ -8,13 +8,12 @@ from riskfed.federation import (
     apply_dropout,
     build_clients,
     run_experiment,
-    run_round_fedavg,
-    run_round_fedprox,
+    run_round_averaging,
     run_round_fral,
     sample_participants,
 )
-from riskfed.metrics import MetricsSink, write_metrics_csv
-from riskfed.objective import local_objective
+from riskfed.metrics import write_metrics_csv
+from riskfed.sensitivity import client_report
 from riskfed.store import ClientState
 
 from conftest import make_dataset, make_store
@@ -150,7 +149,7 @@ class TestFralRound:
         clients = [client_from([[1.0, 0.0], [-2.0, 0.0]], [1.0, 1.0])]
         cfg = config(beta=0.5, c=1.0, epsilon=0.5)
         w = np.array([1.0, 0.0, 0.0])
-        grad = local_objective(w, clients[0].train, beta=0.5, c=1.0).gradient
+        grad = client_report(w, clients[0].train, beta=0.5, c=1.0).gradient
         jac = np.array([-2.0, 0.0, 1.0])
         s = np.eye(3) + 0.5 * np.outer(jac, jac)
         step = cramer3(s + 0.5 * np.eye(3), grad)
@@ -183,15 +182,15 @@ class TestFedavgRound:
         clients = [client_from([[1.0, 0.0], [-2.0, 0.0]], [1.0, 1.0])]
         cfg = config(algorithm="fedavg", local_epochs=0)
         w = np.array([0.3, 0.1, -0.2])
-        w_next, _ = run_round(run_round_fedavg, w, clients, cfg, round_index=1)
+        w_next, _ = run_round(run_round_averaging, w, clients, cfg, round_index=1)
         np.testing.assert_array_equal(w_next, w)
 
     def test_single_client_one_epoch_plain_gradient_step(self):
         clients = [client_from([[1.0, 0.0], [-2.0, 0.0]], [1.0, 1.0])]
         cfg = config(algorithm="fedavg", local_epochs=1, local_lr=0.05, beta=0.5)
         w = np.array([1.0, 0.0, 0.0])
-        grad = local_objective(w, clients[0].train, beta=0.5, c=1.0).gradient
-        w_next, _ = run_round(run_round_fedavg, w, clients, cfg, round_index=1)
+        grad = client_report(w, clients[0].train, beta=0.5, c=1.0).gradient
+        w_next, _ = run_round(run_round_averaging, w, clients, cfg, round_index=1)
         np.testing.assert_allclose(w_next, w - 0.05 * grad, atol=1e-14)
 
     def test_duplicated_client_invariance(self):
@@ -201,9 +200,9 @@ class TestFedavgRound:
         single = [client_from(features, labels)]
         doubled = [client_from(features, labels, 0), client_from(features, labels, 1)]
         w = rng.standard_normal(3)
-        one, _ = run_round(run_round_fedavg, w, single, config(algorithm="fedavg"),
+        one, _ = run_round(run_round_averaging, w, single, config(algorithm="fedavg"),
                            round_index=1)
-        two, _ = run_round(run_round_fedavg, w, doubled,
+        two, _ = run_round(run_round_averaging, w, doubled,
                            config(algorithm="fedavg", clients=2), round_index=1)
         np.testing.assert_array_equal(one, two)
 
@@ -229,8 +228,8 @@ class TestFedproxRound:
                         local_epochs=200)
         free = config(algorithm="fedprox", mu=0.0, local_lr=1e-4,
                       local_epochs=200)
-        w_pinned, _ = run_round(run_round_fedprox, w, clients, pinned, round_index=1)
-        w_free, _ = run_round(run_round_fedprox, w, clients, free, round_index=1)
+        w_pinned, _ = run_round(run_round_averaging, w, clients, pinned, round_index=1)
+        w_free, _ = run_round(run_round_averaging, w, clients, free, round_index=1)
         assert np.linalg.norm(w_pinned - w) <= 1e-3
         assert np.linalg.norm(w_pinned - w) <= 0.1 * np.linalg.norm(w_free - w)
 
@@ -240,7 +239,7 @@ class TestFedproxRound:
         clients = [client_from([[1.0, 2.0]], [1.0])]
         cfg = config(algorithm="fedprox", mu=1.0, local_lr=0.1, local_epochs=2)
         w = np.array([1.0, 0.0, -2.0])
-        w_next, _ = run_round(run_round_fedprox, w, clients, cfg, round_index=1)
+        w_next, _ = run_round(run_round_averaging, w, clients, cfg, round_index=1)
         np.testing.assert_allclose(w_next, 0.82 * w, rtol=1e-14)
 
 
@@ -251,20 +250,25 @@ class TestRunExperiment:
         assert result.records == []
         np.testing.assert_array_equal(result.initial_weights, result.final_weights)
 
-    def test_deterministic_metrics_bytes(self, tmp_path):
-        cfg_kw = dict(algorithm="fral_cse", clients=5, samples_per_client=60,
+    @pytest.mark.parametrize("algorithm, extra", [
+        ("fral_cse", {}),
+        ("fedavg", {"local_epochs": 3}),
+        ("fedprox", {"mu": 0.1, "local_epochs": 3}),
+    ], ids=["fral_cse", "fedavg", "fedprox"])
+    def test_deterministic_metrics_bytes(self, tmp_path, algorithm, extra):
+        # the client thread pool runs only the fedavg/fedprox local training
+        cfg_kw = dict(algorithm=algorithm, clients=5, samples_per_client=60,
                       rounds=6, seed=11, d=4, dropout_rate=0.1,
-                      participation_rate=0.8)
-        paths = []
+                      participation_rate=0.8, **extra)
+        paths, weights = [], []
         for i, workers in enumerate((1, 8)):
             result = run_experiment(config(workers=workers, **cfg_kw))
-            sink = MetricsSink()
-            for r in result.records:
-                sink.append(r)
             path = tmp_path / f"m{i}.csv"
-            write_metrics_csv(sink, path)
+            write_metrics_csv(result.records, path)
             paths.append(path.read_bytes())
+            weights.append(result.final_weights.tobytes())
         assert paths[0] == paths[1]
+        assert weights[0] == weights[1]
 
     def test_skip_rounds_recorded_with_zero_step(self):
         cfg = config(clients=2, samples_per_client=30, rounds=30, seed=2,
@@ -280,14 +284,15 @@ class TestRunExperiment:
                      rounds=100, seed=42, d=20, num_sectors=1, signal=4.0,
                      workers=4)
         result = run_experiment(cfg)
+        _, _, store = build_clients(cfg)
         # oracle: a full-batch least-squares fit confirms the data is
         # linearly separable to high accuracy before asserting on the run
-        train_x = np.vstack([c.train.features for c in result.clients])
-        train_y = np.concatenate([c.train.labels for c in result.clients])
+        train_x = np.vstack([c.train.features for c in store])
+        train_y = np.concatenate([c.train.labels for c in store])
         xb = np.hstack([train_x, np.ones((len(train_x), 1))])
         w_ls, *_ = np.linalg.lstsq(xb, train_y, rcond=None)
-        test_x = np.vstack([c.test.features for c in result.clients])
-        test_y = np.concatenate([c.test.labels for c in result.clients])
+        test_x = np.vstack([c.test.features for c in store])
+        test_y = np.concatenate([c.test.labels for c in store])
         oracle_acc = np.mean(test_y * (test_x @ w_ls[:-1] + w_ls[-1]) > 0)
         assert oracle_acc > 0.95
         assert result.records[-1].test_accuracy > 0.85
@@ -311,8 +316,8 @@ class TestBuildClients:
         data, plan, store = build_clients(cfg)
         assert [c.client_id for c in store] == list(range(7))
         for client, idx in zip(store, plan.assignments):
-            split = temporal_split(data.subset(idx), cfg.train_fraction)
-            for got, want in ((client.train, split.train), (client.test, split.test)):
+            train, test = temporal_split(data.subset(idx), cfg.train_fraction)
+            for got, want in ((client.train, train), (client.test, test)):
                 np.testing.assert_array_equal(got.features, want.features)
                 np.testing.assert_array_equal(got.labels, want.labels)
                 np.testing.assert_array_equal(got.sectors, want.sectors)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from riskfed.errors import DataError
-from riskfed.metrics import MetricsSink, RoundRecord, accuracy, write_metrics_csv
+from riskfed.metrics import RoundRecord, accuracy, write_metrics_csv
 
 from conftest import make_dataset
 
@@ -48,18 +48,15 @@ class TestAccuracy:
 class TestMetricsCsv:
     def test_empty_sink_header_only(self, tmp_path):
         path = tmp_path / "m.csv"
-        write_metrics_csv(MetricsSink(), path)
+        write_metrics_csv([], path)
         text = path.read_text(encoding="utf-8")
         assert text == (
             "round,train_loss,test_accuracy,participants,completed,step_norm\n"
         )
 
     def test_two_rows_three_lines(self, tmp_path):
-        sink = MetricsSink()
-        sink.append(record(1))
-        sink.append(record(2))
         path = tmp_path / "m.csv"
-        write_metrics_csv(sink, path)
+        write_metrics_csv([record(1), record(2)], path)
         assert len(path.read_text(encoding="utf-8").splitlines()) == 3
 
     def test_deterministic_bytes(self, tmp_path):
@@ -68,21 +65,15 @@ class TestMetricsCsv:
                 for i in range(1, 6)]
         blobs = []
         for name in ("a.csv", "b.csv"):
-            sink = MetricsSink()
-            for r in rows:
-                sink.append(r)
             path = tmp_path / name
-            write_metrics_csv(sink, path)
+            write_metrics_csv(rows, path)
             blobs.append(path.read_bytes())
         assert blobs[0] == blobs[1]
 
     def test_float_round_trip(self, tmp_path):
         rows = [record(1, loss=1 / 3, acc=2 / 7), record(2, loss=np.pi, acc=0.1)]
-        sink = MetricsSink()
-        for r in rows:
-            sink.append(r)
         path = tmp_path / "m.csv"
-        write_metrics_csv(sink, path)
+        write_metrics_csv(rows, path)
         lines = path.read_text(encoding="utf-8").splitlines()[1:]
         for line, r in zip(lines, rows):
             parts = line.split(",")
@@ -90,9 +81,3 @@ class TestMetricsCsv:
             assert float(parts[1]) == r.global_train_loss
             assert float(parts[2]) == r.test_accuracy
             assert float(parts[5]) == r.step_norm
-
-    def test_round_index_must_increase(self):
-        sink = MetricsSink()
-        sink.append(record(1))
-        with pytest.raises(DataError):
-            sink.append(record(1))

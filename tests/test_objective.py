@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
+from riskfed import _kernels
 from riskfed.errors import AggregationError, DataError
-from riskfed.objective import aggregate_gradient, local_objective
-from riskfed.sensitivity import ClientReport
+from riskfed.objective import aggregate_gradient
+from riskfed.sensitivity import ClientReport, client_report
 
 from conftest import make_dataset, make_store
 from oracles import beta_quantile, tail_threshold
@@ -15,6 +16,11 @@ def frozen_q_loss(w, data, q, c):
     risks = -data.labels * scores
     hinge = np.sum(np.maximum(0.0, risks - q)) / len(data)
     return 0.5 * float(w @ w) + c * hinge
+
+
+def threshold_q(w, data, beta, c):
+    """The tail threshold q of one client's evaluation at w."""
+    return _kernels.client_eval(data.features, data.labels, w, beta, c)[4]
 
 
 def random_instance(rng):
@@ -29,28 +35,29 @@ def random_instance(rng):
 class TestLocalLoss:
     def test_zero_weights_zero_loss(self, dataset_factory):
         data = dataset_factory([[1.0, 2.0], [3.0, -1.0], [0.5, 0.5]], [1, -1, 1])
-        ev = local_objective(np.zeros(3), data, beta=0.5, c=1.0)
-        assert ev.loss == 0.0
-        assert ev.threshold_q == 0.0
+        ev = client_report(np.zeros(3), data, beta=0.5, c=1.0)
+        assert ev.local_loss == 0.0
+        assert threshold_q(np.zeros(3), data, beta=0.5, c=1.0) == 0.0
         assert ev.active_count == 0
 
     def test_single_sample_regularizer_only(self, dataset_factory):
         # f = -1, risk = 1 = q (single sample), hinge 0, loss = ||w||^2/2
         data = dataset_factory([[1.0, 0.0]], [1])
-        ev = local_objective(np.array([-1.0, 0.0, 0.0]), data, beta=0.5, c=1.0)
-        assert ev.loss == pytest.approx(0.5)
-        assert ev.threshold_q == pytest.approx(1.0)
+        w = np.array([-1.0, 0.0, 0.0])
+        ev = client_report(w, data, beta=0.5, c=1.0)
+        assert ev.local_loss == pytest.approx(0.5)
+        assert threshold_q(w, data, beta=0.5, c=1.0) == pytest.approx(1.0)
 
     def test_two_sample_hand_computed(self, dataset_factory):
         # w = [1,1,0]: risks 1 and 3, q = 1, hinge = (3-1)/2 = 1, loss = 1 + 2*1
         data = dataset_factory([[-1.0, 0.0], [-3.0, 0.0]], [1, 1])
-        ev = local_objective(np.array([1.0, 1.0, 0.0]), data, beta=0.5, c=2.0)
-        assert ev.loss == pytest.approx(3.0)
+        ev = client_report(np.array([1.0, 1.0, 0.0]), data, beta=0.5, c=2.0)
+        assert ev.local_loss == pytest.approx(3.0)
 
     def test_empty_dataset_rejected(self, dataset_factory):
         data = dataset_factory([[1.0, 0.0]], [1])
         with pytest.raises(DataError):
-            local_objective(np.zeros(3), data.subset([]), beta=0.5, c=1.0)
+            client_report(np.zeros(3), data.subset([]), beta=0.5, c=1.0)
 
 
 class TestLocalGradient:
@@ -58,14 +65,14 @@ class TestLocalGradient:
         # w = [1,0,0]: risks are -1 and 2, q = -1, only the second is active;
         # gradient = w - (c/2) * y * [x; 1] = [1,0,0] - 0.5*[-2,0,1]
         data = dataset_factory([[1.0, 0.0], [-2.0, 0.0]], [1, 1])
-        ev = local_objective(np.array([1.0, 0.0, 0.0]), data, beta=0.5, c=1.0)
+        ev = client_report(np.array([1.0, 0.0, 0.0]), data, beta=0.5, c=1.0)
         np.testing.assert_allclose(ev.gradient, [2.0, 0.0, -0.5], atol=1e-15)
         assert ev.active_count == 1
 
     def test_no_active_samples_gradient_is_weights(self, dataset_factory):
         data = dataset_factory([[1.0, 2.0], [1.0, 2.0]], [1, 1])
         w = np.array([0.3, -0.2, 0.7])
-        ev = local_objective(w, data, beta=0.5, c=1.0)
+        ev = client_report(w, data, beta=0.5, c=1.0)
         np.testing.assert_array_equal(ev.gradient, w)
 
     def test_c_zero_reduces_to_regularizer(self, dataset_factory):
@@ -73,7 +80,7 @@ class TestLocalGradient:
         data = dataset_factory(rng.standard_normal((6, 3)),
                                rng.choice([-1.0, 1.0], 6))
         w = rng.standard_normal(4)
-        ev = local_objective(w, data, beta=0.8, c=0.0)
+        ev = client_report(w, data, beta=0.8, c=0.0)
         np.testing.assert_array_equal(ev.gradient, w)
 
     def test_finite_difference_agreement(self):
@@ -93,7 +100,7 @@ class TestLocalGradient:
             gaps = np.abs(risks - q)
             if np.any((gaps > 0) & (gaps < margin)):
                 continue
-            ev = local_objective(w, data, beta=0.8, c=c)
+            ev = client_report(w, data, beta=0.8, c=c)
             q_frozen = q + margin / 2
             fd = np.empty(w.size)
             for j in range(w.size):
@@ -112,7 +119,7 @@ class TestLocalGradient:
             w, data = random_instance(rng)
             risks = -data.labels * (data.features @ w[:-1] + w[-1])
             tail = tail_threshold(risks, 0.8)
-            ev = local_objective(w, data, beta=0.8, c=1.0)
+            ev = client_report(w, data, beta=0.8, c=1.0)
             assert ev.active_count == tail.tail_indices.size
 
 
@@ -162,7 +169,7 @@ class TestGlobalLoss:
         data = dataset_factory(rng.standard_normal((8, 3)),
                                rng.choice([-1.0, 1.0], 8))
         w = rng.standard_normal(4)
-        single = local_objective(w, data, beta=0.8, c=1.0).loss
+        single = client_report(w, data, beta=0.8, c=1.0).local_loss
         combined = train_loss(w, [data, data, data], beta=0.8, c=1.0)
         assert combined == pytest.approx(single, rel=1e-12)
 
@@ -175,7 +182,9 @@ class TestGlobalLoss:
         w = np.array([1.0, 1.0, 0.0])
         client_a = dataset_factory([[-5.0, 4.0]], [1])
         client_b = dataset_factory([[0.0, 0.0], [0.0, 0.0], [-6.0, 0.0]], [1, 1, 1])
-        assert local_objective(w, client_a, beta=0.5, c=1.0).loss == pytest.approx(1.0)
-        assert local_objective(w, client_b, beta=0.5, c=1.0).loss == pytest.approx(3.0)
+        loss_a = client_report(w, client_a, beta=0.5, c=1.0).local_loss
+        loss_b = client_report(w, client_b, beta=0.5, c=1.0).local_loss
+        assert loss_a == pytest.approx(1.0)
+        assert loss_b == pytest.approx(3.0)
         got = train_loss(w, [client_a, client_b], beta=0.5, c=1.0)
         assert got == pytest.approx(2.5)

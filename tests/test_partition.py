@@ -144,37 +144,25 @@ class TestValidatePartition:
 
     def test_duplicate_index_named(self):
         data = sectored_dataset([10])
-        plan = PartitionPlan(
-            assignments=(np.array([0, 1, 2]), np.array([2, 3, 4])),
-            labels_per_client=1, dirichlet_alpha=1.0, seed=0,
-        )
+        plan = PartitionPlan(assignments=(np.array([0, 1, 2]), np.array([2, 3, 4])))
         report = validate_partition(plan, data)
         assert any("index 2" in v for v in report.violations)
 
     def test_incomplete_coverage_flagged(self):
         data = sectored_dataset([10])
-        plan = PartitionPlan(
-            assignments=(np.array([0, 1]), np.array([2, 3])),
-            labels_per_client=1, dirichlet_alpha=1.0, seed=0,
-        )
+        plan = PartitionPlan(assignments=(np.array([0, 1]), np.array([2, 3])))
         report = validate_partition(plan, data)
         assert any("covers 4 of 10" in v for v in report.violations)
 
     def test_order_violation_flagged(self):
         data = sectored_dataset([10])
-        plan = PartitionPlan(
-            assignments=(np.array([1, 0]), np.arange(2, 10)),
-            labels_per_client=1, dirichlet_alpha=1.0, seed=0,
-        )
+        plan = PartitionPlan(assignments=(np.array([1, 0]), np.arange(2, 10)))
         report = validate_partition(plan, data)
         assert any("temporal order" in v for v in report.violations)
 
     def test_empty_client_flagged(self):
         data = sectored_dataset([4])
-        plan = PartitionPlan(
-            assignments=(np.arange(4), np.empty(0, dtype=np.int64)),
-            labels_per_client=1, dirichlet_alpha=1.0, seed=0,
-        )
+        plan = PartitionPlan(assignments=(np.arange(4), np.empty(0, dtype=np.int64)))
         report = validate_partition(plan, data)
         assert any("no records" in v for v in report.violations)
 
