@@ -10,6 +10,7 @@ sector-specialized clients see genuinely different feature dynamics.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -120,10 +121,10 @@ def load_csv(path) -> LabeledDataset:
                 raise DataError(f"{path}: row {rownum} has {len(row)} cells, "
                                 f"expected {len(header)}")
             try:
-                values = [float(cell) for cell in row[:ncols]]
+                values = list(map(float, row[:ncols]))
             except ValueError:
                 raise DataError(f"{path}: row {rownum} has a non-numeric cell") from None
-            if not all(np.isfinite(v) for v in values):
+            if not all(map(math.isfinite, values)):
                 raise DataError(f"{path}: row {rownum} has a non-finite cell")
             label_field = row[ncols].strip()
             if label_field not in ("-1", "1"):

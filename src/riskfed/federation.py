@@ -173,11 +173,14 @@ def apply_dropout(
 
     Participant cid survives when the first uniform of
     ``np.random.default_rng([seed, round_index, 5, cid])`` is at least
-    rate; all participants are drawn in one vectorized pass.
+    rate; all participants are drawn in one vectorized pass. Every
+    uniform is at least 0, so at rate 0 nothing is drawn.
     """
     if not 0 <= rate < 1:
         raise ConfigurationError(f"dropout rate must lie in [0, 1), got {rate}")
     participants = np.asarray(participants, dtype=np.int64)
+    if rate == 0:
+        return np.sort(participants)
     draws = first_uniforms([seed, round_index, _DROPOUT_STREAM], participants)
     return np.sort(participants[draws >= rate])
 
@@ -199,9 +202,7 @@ def _map_clients(fn, survivors, workers):
 def _fral_step(state: TrainPass, store: ClientStore, config, survivors):
     """S and g from the survivors' tail-active rows, then the damped
     second-order central update."""
-    in_round = np.zeros(len(store), dtype=bool)
-    in_round[survivors] = True
-    rows = state.active_rows[np.repeat(in_round, state.active_counts)]
+    rows = state.tail_rows(survivors)
     s, g = sensitivity.tail_system(
         state.w, store.train.features[rows], store.train.labels[rows],
         int(store.train_sizes[survivors].sum()), config.c,

@@ -15,17 +15,17 @@ def make_dataset(features, labels, sectors=None):
 
 
 def make_store(shards):
-    """ClientStore of (train, test) dataset pairs, copied in order."""
-    def stack(parts):
-        return LabeledDataset(
-            features=np.concatenate([p.features for p in parts]),
-            labels=np.concatenate([p.labels for p in parts]),
-            sectors=np.concatenate([p.sectors for p in parts]),
-        )
-
-    trains, tests = [s[0] for s in shards], [s[1] for s in shards]
-    return ClientStore.from_parts(stack(trains), stack(tests),
-                                  [len(t) for t in trains], [len(t) for t in tests])
+    """ClientStore of (train, test) dataset pairs: client k trains on
+    shards[k][0] and tests on shards[k][1]."""
+    parts = [part for shard in shards for part in shard]
+    data = LabeledDataset(
+        features=np.concatenate([p.features for p in parts]),
+        labels=np.concatenate([p.labels for p in parts]),
+        sectors=np.concatenate([p.sectors for p in parts]),
+    )
+    bounds = np.cumsum([0] + [len(p) for p in parts])
+    index = [np.arange(a, b) for a, b in zip(bounds[:-1], bounds[1:])]
+    return ClientStore.gather(data, index[0::2], index[1::2])
 
 
 @pytest.fixture

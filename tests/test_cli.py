@@ -3,7 +3,6 @@ import subprocess
 import sys
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 import riskfed
@@ -159,8 +158,7 @@ class TestMainRun:
         text = ("algorithm = fedavg\nclients = 4\nsamples_per_client = 50\n"
                 "rounds = 12\nseed = 0\nd = 4\nlocal_lr = 1e6\nlocal_epochs = 3\n")
         config = write_config(tmp_path, text)
-        with np.errstate(over="ignore", invalid="ignore"):
-            code = main(["run", "--config", str(config), "--out", str(tmp_path / "o")])
+        code = main(["run", "--config", str(config), "--out", str(tmp_path / "o")])
         assert code == 4
         assert "round 9: train loss is not finite" in capsys.readouterr().err
         assert list((tmp_path / "o").glob("*")) == []  # no run directory left

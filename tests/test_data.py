@@ -86,6 +86,21 @@ class TestCsvRoundTrip:
         with pytest.raises(DataError, match="row 2"):
             load_csv(path)
 
+    @pytest.mark.parametrize("cell", ["inf", "-inf"])
+    def test_infinite_cell_names_row(self, tmp_path, cell):
+        path = tmp_path / "bad.csv"
+        path.write_text(f"feature_0,feature_1,label\n1.0,2.0,1\n1.0,{cell},1\n",
+                        encoding="utf-8")
+        with pytest.raises(DataError, match=r"bad\.csv: row 3 has a non-finite cell"):
+            load_csv(path)
+
+    def test_first_bad_row_is_named(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_text("feature_0,feature_1,label\nnan,2.0,1\nx,2.0,1\n",
+                        encoding="utf-8")
+        with pytest.raises(DataError, match=r"bad\.csv: row 2 has a non-finite cell"):
+            load_csv(path)
+
     def test_non_integer_sector_names_row(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("feature_0,feature_1,label,sector\n0.1,0.2,1,x\n",

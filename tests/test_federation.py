@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from riskfed._pcg import first_uniforms
 from riskfed.data import temporal_split
 from riskfed.errors import ConfigurationError
 from riskfed.federation import (
@@ -88,6 +89,14 @@ class TestApplyDropout:
         participants = np.arange(12)
         out = apply_dropout(participants, 0.0, 3, seed=1)
         np.testing.assert_array_equal(out, participants)
+
+    def test_zero_rate_keeps_whom_the_draws_keep(self):
+        participants = np.sort(np.random.default_rng(3).choice(500, 60, replace=False))
+        for seed in (0, 7, 2**40 + 7):
+            for rnd in (1, 2, 350):
+                draws = first_uniforms([seed, rnd, 5], participants)
+                kept = apply_dropout(participants, 0.0, rnd, seed)
+                np.testing.assert_array_equal(kept, participants[draws >= 0])
 
     def test_empirical_rate_three_sigma(self):
         dropped = 0

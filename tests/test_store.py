@@ -25,7 +25,12 @@ def stores(draw):
     lies strictly above q.
     """
     d = draw(st.integers(1, 24))
-    sizes = draw(st.lists(st.integers(1, 12), min_size=1, max_size=7))
+    # small clients often share a size and cover every n mod 4; a few large
+    # ones reach active counts past numpy's 8-way unrolled and 128-element
+    # pairwise sums; the shuffle leaves ids out of size order
+    sizes = draw(st.lists(st.integers(1, 12), min_size=1, max_size=9))
+    sizes += draw(st.lists(st.integers(100, 300), max_size=2))
+    sizes = draw(st.permutations(sizes))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     integer = draw(st.booleans())
     shards = []
@@ -50,10 +55,18 @@ def stores(draw):
     return store, w, beta, c
 
 
-@SETTINGS
-@given(stores())
-def test_evaluate_equals_per_client_kernel(case):
-    store, w, beta, c = case
+def random_store(sizes, d, seed):
+    rng = np.random.default_rng(seed)
+    shards = []
+    for n in sizes:
+        data = make_dataset(rng.standard_normal((n, d)), rng.choice([-1.0, 1.0], n))
+        shards.append((data, data))
+    return make_store(shards), rng.standard_normal(d + 1)
+
+
+def check_evaluate(store, w, beta, c):
+    """evaluate equals the per-client kernel exactly, client by client;
+    returns the active counts."""
     result = store.evaluate(w, beta, c)
     total = 0.0
     n_all = len(store.train)
@@ -63,13 +76,71 @@ def test_evaluate_equals_per_client_kernel(case):
         assert result.q[k] == q
         assert result.active_counts[k] == active
         assert result.losses[k] == loss
-        a, b = store.train_bounds[k], store.train_bounds[k + 1]
+        a = store.train_starts[k]
+        b = a + store.train_sizes[k]
         assert np.count_nonzero((result.active_rows >= a)
                                 & (result.active_rows < b)) == active
         if active == 0:
             assert result.losses[k] == 0.5 * float(w @ w)  # hinge exactly 0
         total += (len(client.train) / n_all) * loss
     assert result.train_loss == total
+    return result.active_counts
+
+
+def check_layout(store):
+    """Clients of one size form one contiguous block in id order, the test
+    rows stay client by client in id order, and every shard and block is a
+    view of the store's arrays."""
+    features = store.train.features
+    sizes = [len(client.train) for client in store]
+    np.testing.assert_array_equal(store.train_sizes, sizes)
+    assert [n for n, *_ in store.size_groups] == sorted(set(sizes))
+    for n, ids, a, b in store.size_groups:
+        np.testing.assert_array_equal(ids, [k for k, m in enumerate(sizes) if m == n])
+        block = features[a:b].reshape(ids.size, n, features.shape[1])
+        assert np.shares_memory(block, features)
+        for i, k in enumerate(ids.tolist()):
+            view = store[k].train.features
+            assert np.shares_memory(view, features)
+            assert view.__array_interface__ == block[i].__array_interface__
+    for client in store:
+        assert np.shares_memory(client.test.features, store.test.features)
+    np.testing.assert_array_equal(
+        np.concatenate([client.test.features for client in store]), store.test.features)
+
+
+@SETTINGS
+@given(stores())
+def test_evaluate_equals_per_client_kernel(case):
+    store, w, beta, c = case
+    check_layout(store)
+    check_evaluate(store, w, beta, c)
+
+
+@pytest.mark.parametrize("beta", [0.05, 0.5, 0.95])
+def test_evaluate_layout_cases(beta):
+    # shared sizes, every n mod 4, ids out of size order, and clients large
+    # enough for active counts of 8 or more and past 128
+    sizes = [7, 3, 300, 7, 4, 5, 6, 150, 3, 7, 101, 6]
+    store, w = random_store(sizes, 9, seed=11)
+    check_layout(store)
+    counts = check_evaluate(store, w, beta, 1.0)
+    if beta == 0.05:
+        assert counts.max() > 128
+        assert np.any((counts >= 8) & (counts <= 128))
+
+
+def survivor_tail(store, w, beta, survivors):
+    """Store rows and features of the survivors' tail-active rows, from the
+    per-client kernel's risks and q, client by client in id order."""
+    rows, features = [], []
+    for k in survivors:
+        train = store[k].train
+        risks = -train.labels * _kernels.linear_scores(train.features, w)
+        q = _kernels.client_eval(train.features, train.labels, w, beta, 0.0)[4]
+        rows.append(store.train_starts[k] + np.flatnonzero(risks > q))
+        features.append(train.features[risks > q])
+    return np.concatenate(rows), np.concatenate(features)
 
 
 @SETTINGS
@@ -79,9 +150,10 @@ def test_tail_system_equals_aggregated_reports(case, data):
     survivors = data.draw(st.lists(st.sampled_from(range(len(store))), min_size=1,
                                    unique=True).map(sorted))
     result = store.evaluate(w, beta, c)
-    in_round = np.zeros(len(store), dtype=bool)
-    in_round[survivors] = True
-    rows = result.active_rows[np.repeat(in_round, result.active_counts)]
+    rows = result.tail_rows(survivors)
+    want_rows, want_features = survivor_tail(store, w, beta, survivors)
+    np.testing.assert_array_equal(rows, want_rows)
+    np.testing.assert_array_equal(store.train.features[rows], want_features)
     n = int(store.train_sizes[survivors].sum())
     s, g = tail_system(w, store.train.features[rows], store.train.labels[rows], n, c)
     reports = [client_report(w, store[k].train, beta, c) for k in survivors]
