@@ -37,6 +37,17 @@ class LabeledDataset:
         if not np.all(np.abs(self.labels) == 1.0):
             raise DataError("labels must be -1 or +1")
 
+    @classmethod
+    def _trusted(cls, features, labels, sectors) -> "LabeledDataset":
+        """Rows selected from a validated dataset, without checking them
+        again: selecting rows cannot make a finite value non-finite or a
+        +-1 label anything else."""
+        self = object.__new__(cls)
+        object.__setattr__(self, "features", features)
+        object.__setattr__(self, "labels", labels)
+        object.__setattr__(self, "sectors", sectors)
+        return self
+
     def __len__(self) -> int:
         return self.features.shape[0]
 
@@ -47,19 +58,16 @@ class LabeledDataset:
     def subset(self, indices) -> "LabeledDataset":
         """Row subset in the given index order."""
         idx = np.asarray(indices, dtype=np.int64)
-        return LabeledDataset(
-            features=np.ascontiguousarray(self.features[idx]),
-            labels=self.labels[idx].copy(),
-            sectors=self.sectors[idx].copy(),
+        return LabeledDataset._trusted(
+            np.ascontiguousarray(self.features[idx]),
+            self.labels[idx].copy(),
+            self.sectors[idx].copy(),
         )
 
     def rows(self, start: int, stop: int) -> "LabeledDataset":
         """Rows start:stop as views of this dataset's arrays, not copies."""
-        return LabeledDataset(
-            features=self.features[start:stop],
-            labels=self.labels[start:stop],
-            sectors=self.sectors[start:stop],
-        )
+        return LabeledDataset._trusted(
+            self.features[start:stop], self.labels[start:stop], self.sectors[start:stop])
 
 
 def generate_synthetic(
@@ -83,8 +91,12 @@ def generate_synthetic(
     means /= np.linalg.norm(means, axis=1, keepdims=True)
     sectors = rng.integers(0, num_sectors, size=n)
     labels = np.where(rng.random(n) < 0.5, -1.0, 1.0)
-    features = labels[:, None] * (signal * means[sectors])
-    features += rng.standard_normal((n, d))
+    shift = signal * means[sectors]
+    shift *= labels[:, None]
+    # noise + shift equals shift + noise bit for bit, and adding in place
+    # into the noise spares one (n, d) temporary
+    features = rng.standard_normal((n, d))
+    features += shift
     return LabeledDataset(
         features=np.ascontiguousarray(features),
         labels=labels,
@@ -100,47 +112,15 @@ def load_csv(path) -> LabeledDataset:
     """Read a dataset CSV; row order is preserved as temporal order.
 
     Expected header: feature_0..feature_{d-1},label[,sector]. The label
-    field must be exactly -1 or 1; sector defaults to 0 when absent.
+    field must be exactly -1 or 1; sector defaults to 0 when absent. A
+    file that cannot be opened or decoded is a DataError naming it.
     """
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise DataError(f"{path}: empty file, header row required") from None
-        header = [h.strip() for h in header]
-        has_sector = header and header[-1] == "sector"
-        ncols = len(header) - (2 if has_sector else 1)
-        if ncols < 1 or header[: ncols + 1] != _feature_header(ncols) + ["label"]:
-            raise DataError(
-                f"{path}: header must be feature_0..feature_{{d-1}},label[,sector]"
-            )
-        feats, labels, sectors = [], [], []
-        for rownum, row in enumerate(reader, start=2):
-            if len(row) != len(header):
-                raise DataError(f"{path}: row {rownum} has {len(row)} cells, "
-                                f"expected {len(header)}")
-            try:
-                values = list(map(float, row[:ncols]))
-            except ValueError:
-                raise DataError(f"{path}: row {rownum} has a non-numeric cell") from None
-            if not all(map(math.isfinite, values)):
-                raise DataError(f"{path}: row {rownum} has a non-finite cell")
-            label_field = row[ncols].strip()
-            if label_field not in ("-1", "1"):
-                raise DataError(
-                    f"{path}: row {rownum} label must be -1 or 1, got {label_field!r}"
-                )
-            try:
-                sector = int(row[ncols + 1]) if has_sector else 0
-            except ValueError:
-                raise DataError(
-                    f"{path}: row {rownum} sector must be an integer, "
-                    f"got {row[ncols + 1]!r}"
-                ) from None
-            feats.append(values)
-            labels.append(float(label_field))
-            sectors.append(sector)
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            feats, labels, sectors = _read_records(path, csv.reader(fh))
+    except (OSError, UnicodeDecodeError, csv.Error) as exc:
+        reason = getattr(exc, "strerror", None) or exc
+        raise DataError(f"{path}: cannot read: {reason}") from None
     if not feats:
         raise DataError(f"{path}: no data rows")
     return LabeledDataset(
@@ -148,6 +128,48 @@ def load_csv(path) -> LabeledDataset:
         labels=np.asarray(labels),
         sectors=np.asarray(sectors, dtype=np.int64),
     )
+
+
+def _read_records(path, reader):
+    """Header check, then each row's features, label and sector as lists."""
+    try:
+        header = next(reader)
+    except StopIteration:
+        raise DataError(f"{path}: empty file, header row required") from None
+    header = [h.strip() for h in header]
+    has_sector = header and header[-1] == "sector"
+    ncols = len(header) - (2 if has_sector else 1)
+    if ncols < 1 or header[: ncols + 1] != _feature_header(ncols) + ["label"]:
+        raise DataError(
+            f"{path}: header must be feature_0..feature_{{d-1}},label[,sector]"
+        )
+    feats, labels, sectors = [], [], []
+    for rownum, row in enumerate(reader, start=2):
+        if len(row) != len(header):
+            raise DataError(f"{path}: row {rownum} has {len(row)} cells, "
+                            f"expected {len(header)}")
+        try:
+            values = list(map(float, row[:ncols]))
+        except ValueError:
+            raise DataError(f"{path}: row {rownum} has a non-numeric cell") from None
+        if not all(map(math.isfinite, values)):
+            raise DataError(f"{path}: row {rownum} has a non-finite cell")
+        label_field = row[ncols].strip()
+        if label_field not in ("-1", "1"):
+            raise DataError(
+                f"{path}: row {rownum} label must be -1 or 1, got {label_field!r}"
+            )
+        try:
+            sector = int(row[ncols + 1]) if has_sector else 0
+        except ValueError:
+            raise DataError(
+                f"{path}: row {rownum} sector must be an integer, "
+                f"got {row[ncols + 1]!r}"
+            ) from None
+        feats.append(values)
+        labels.append(float(label_field))
+        sectors.append(sector)
+    return feats, labels, sectors
 
 
 def write_csv(data: LabeledDataset, path) -> None:

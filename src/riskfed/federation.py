@@ -212,16 +212,18 @@ def _fral_step(state: TrainPass, store: ClientStore, config, survivors):
 
 def _averaging_step(state: TrainPass, store: ClientStore, config, survivors):
     """Local full-batch descent with the proximal pull mu*(w - w_t), then
-    the size-weighted mean; fedavg is this step at mu = 0."""
+    the size-weighted mean; fedavg is this step at mu = 0. Each survivor
+    trains on a slice of the store's train rows."""
     w = state.w
+    features, labels = store.train.features, store.train.labels
 
     def train(cid):
-        shard = store[cid].train
+        a, n = int(store.train_starts[cid]), int(store.train_sizes[cid])
         local_w = _kernels.local_sgd(
-            shard.features, shard.labels, w, w, config.beta, config.c,
+            features[a:a + n], labels[a:a + n], w, w, config.beta, config.c,
             config.local_epochs, config.local_lr, config.mu,
         )
-        return len(shard), local_w
+        return n, local_w
 
     results = _map_clients(train, survivors, config.workers)
     total_n = sum(n for n, _ in results)

@@ -10,7 +10,6 @@ index list is sorted so local data stays in temporal order.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -151,10 +150,9 @@ def validate_partition(plan: PartitionPlan, data: LabeledDataset) -> PartitionRe
 
 
 def write_partition_csv(plan: PartitionPlan, path) -> None:
-    """Export the plan as client_id,record_index rows for audits."""
+    """Export the plan as client_id,record_index rows for audits, ending
+    each line with "\r\n" as csv.writer does."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["client_id", "record_index"])
+        fh.write("client_id,record_index\r\n")
         for client, idx in enumerate(plan.assignments):
-            for record in idx.tolist():
-                writer.writerow([client, record])
+            fh.write("".join([f"{client},{r}\r\n" for r in idx.tolist()]))

@@ -3,13 +3,15 @@
 The train rows of every client sit in one C-contiguous array, ordered by
 (train size, client id), so the clients of one size form one contiguous
 (clients, n, d) block; the test rows sit in another, client by client in
-id order. Client k's shards are views of its row ranges, so no row is
-held twice. ``ClientStore.evaluate`` scores every train row at one
-weight vector and returns each client's tail threshold, tail-active rows
-and local loss, plus the size-weighted train loss. Each quantity is
-computed with the same floating-point operations, on the same values, as
-the per-client numpy kernel ``_kernels.client_eval``, so the results
-equal it bit for bit.
+id order. The rows are checked once, when the dataset is read or made;
+the store's arrays are read-only, so nothing can write a bad value after
+that check. Client k's shards are views of its row ranges, built when
+the client is accessed, so no row is held twice. ``ClientStore.evaluate``
+scores every train row at one weight vector and returns each client's
+tail threshold, tail-active rows and local loss, plus the size-weighted
+train loss. Each quantity is computed with the same floating-point
+operations, on the same values, as the per-client numpy kernel
+``_kernels.client_eval``, so the results equal it bit for bit.
 """
 
 from __future__ import annotations
@@ -56,8 +58,10 @@ class TrainPass:
 @dataclass(frozen=True)
 class ClientStore:
     """Train and test rows of all clients. Client k owns train rows
-    ``train_starts[k]:train_starts[k] + train_sizes[k]`` of ``train``;
-    ``layout`` lists the client ids in the order of their train rows.
+    ``train_starts[k]:train_starts[k] + train_sizes[k]`` of ``train`` and
+    test rows ``test_starts[k]:test_starts[k] + test_sizes[k]`` of
+    ``test``; ``layout`` lists the client ids in the order of their train
+    rows. ``store[k]`` builds client k's shards as views of those rows.
 
     ``size_groups`` holds, per distinct train size n in increasing order,
     the ids of the clients of that size (ascending) and the train rows
@@ -68,42 +72,51 @@ class ClientStore:
     test: LabeledDataset
     train_starts: np.ndarray
     train_sizes: np.ndarray
+    test_starts: np.ndarray
+    test_sizes: np.ndarray
     layout: np.ndarray
-    clients: tuple
     size_groups: tuple
 
     @classmethod
     def gather(cls, data: LabeledDataset, train_parts, test_parts) -> "ClientStore":
         """Client k trains on the records train_parts[k] of data and tests on
-        test_parts[k]; one gather per array."""
+        test_parts[k]; one gather per array, whose result is read-only."""
         sizes = np.array([len(p) for p in train_parts], dtype=np.int64)
         layout = np.argsort(sizes, kind="stable")  # client ids by (size, id)
         train = data.subset(np.concatenate([train_parts[k] for k in layout.tolist()]))
         test = data.subset(np.concatenate(test_parts))
+        for part in (train, test):
+            for array in (part.features, part.labels, part.sectors):
+                array.setflags(write=False)
         starts = np.empty_like(sizes)
         starts[layout] = np.cumsum(sizes[layout]) - sizes[layout]
-        test_bounds = np.cumsum([0] + [len(p) for p in test_parts]).tolist()
-        clients = tuple(
-            ClientState(client_id=cid, train=train.rows(a, a + n),
-                        test=test.rows(test_bounds[cid], test_bounds[cid + 1]))
-            for cid, (a, n) in enumerate(zip(starts.tolist(), sizes.tolist()))
-        )
+        test_sizes = np.array([len(p) for p in test_parts], dtype=np.int64)
         groups = []
         for n in np.unique(sizes).tolist():
             ids = np.flatnonzero(sizes == n)
             a = int(starts[ids[0]])
             groups.append((n, ids, a, a + ids.size * n))
         return cls(train=train, test=test, train_starts=starts, train_sizes=sizes,
-                   layout=layout, clients=clients, size_groups=tuple(groups))
+                   test_starts=np.cumsum(test_sizes) - test_sizes,
+                   test_sizes=test_sizes, layout=layout, size_groups=tuple(groups))
 
     def __len__(self) -> int:
-        return len(self.clients)
+        return len(self.train_sizes)
 
     def __iter__(self):
-        return iter(self.clients)
+        """The clients in id order."""
+        bounds = zip(self.train_starts.tolist(), self.train_sizes.tolist(),
+                     self.test_starts.tolist(), self.test_sizes.tolist())
+        return (self._client(cid, *b) for cid, b in enumerate(bounds))
 
     def __getitem__(self, cid) -> ClientState:
-        return self.clients[cid]
+        cid = range(len(self))[cid]  # a negative id counts from the end
+        return self._client(cid, int(self.train_starts[cid]), int(self.train_sizes[cid]),
+                            int(self.test_starts[cid]), int(self.test_sizes[cid]))
+
+    def _client(self, cid, a, n, b, m) -> ClientState:
+        """Client cid with train rows a:a+n and test rows b:b+m."""
+        return ClientState(cid, self.train.rows(a, a + n), self.test.rows(b, b + m))
 
     def evaluate(self, w: np.ndarray, beta: float, c: float) -> TrainPass:
         """Risks, tail thresholds, tail-active rows and losses at w."""

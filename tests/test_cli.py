@@ -152,6 +152,25 @@ class TestMainRun:
         assert code == 3
         assert list((tmp_path / "o").glob("*")) == []  # no run directory left
 
+    @pytest.mark.parametrize("kind", ["missing", "directory", "not utf-8",
+                                      "cell past the csv field limit"])
+    def test_unreadable_data_csv_exit_code_three(self, tmp_path, capsys, kind):
+        path = tmp_path / "records.csv"
+        if kind == "directory":
+            path.mkdir()
+        elif kind == "not utf-8":
+            path.write_bytes(b"feature_0,feature_1,label\n\xff\xfe,2.0,1\n")
+        elif kind == "cell past the csv field limit":
+            path.write_text("feature_0,label\n" + "1" * 200_000 + ",1\n",
+                            encoding="utf-8")
+        config = write_config(tmp_path, MINIMAL + f"data_csv = {path}\n")
+        code = main(["run", "--config", str(config), "--out", str(tmp_path / "o")])
+        assert code == 3
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith(f"error: {path}: cannot read: ")
+        assert list((tmp_path / "o").glob("*")) == []  # no run directory left
+
     def test_divergence_exit_code_four_names_round(self, tmp_path, capsys):
         # fedavg at local_lr = 1e6 overflows; the train loss first reads inf
         # in round 9, which used to be written to metrics.csv with exit 0

@@ -132,6 +132,32 @@ class TestCsvRoundTrip:
         np.testing.assert_array_equal(back.sectors, data.sectors)
 
 
+class TestLabeledDataset:
+    @pytest.mark.parametrize("features, labels, message", [
+        ([[1.0, np.nan]], [1.0], "non-finite"),
+        ([[1.0, np.inf]], [-1.0], "non-finite"),
+        ([[1.0, 2.0]], [0.0], "-1 or \\+1"),
+        ([[1.0, 2.0]], [1.0, 1.0], "length"),
+        ([1.0, 2.0], [1.0, 1.0], "2-D"),
+    ])
+    def test_constructor_checks_every_field(self, features, labels, message):
+        with pytest.raises(DataError, match=message):
+            LabeledDataset(features=np.asarray(features), labels=np.asarray(labels),
+                           sectors=np.zeros(len(labels), dtype=np.int64))
+
+    def test_rows_are_views_and_subset_copies(self):
+        data = generate_synthetic(n=20, d=3, num_sectors=2, seed=1)
+        view = data.rows(4, 9)
+        assert np.shares_memory(view.features, data.features)
+        np.testing.assert_array_equal(view.labels, data.labels[4:9])
+        np.testing.assert_array_equal(view.sectors, data.sectors[4:9])
+        picked = data.subset([7, 2, 2])
+        assert not np.shares_memory(picked.features, data.features)
+        assert picked.features.flags.c_contiguous
+        np.testing.assert_array_equal(picked.features, data.features[[7, 2, 2]])
+        np.testing.assert_array_equal(picked.sectors, data.sectors[[7, 2, 2]])
+
+
 class TestTemporalSplit:
     def _sequential(self, n):
         return LabeledDataset(

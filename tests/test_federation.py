@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
 
+from riskfed import _kernels
 from riskfed._pcg import first_uniforms
-from riskfed.data import temporal_split
+from riskfed.data import LabeledDataset, temporal_split
 from riskfed.errors import ConfigurationError
 from riskfed.federation import (
     ExperimentConfig,
+    _averaging_step,
     apply_dropout,
     build_clients,
     run_experiment,
@@ -334,3 +336,59 @@ class TestBuildClients:
             assert np.shares_memory(client.train.features, store.train.features)
             assert np.shares_memory(client.test.features, store.test.features)
         assert len(store.train) + len(store.test) == len(data)
+
+    def test_build_validates_the_rows_once_whatever_k(self, monkeypatch):
+        # the dataset is checked where it is made; the store's gathers and
+        # the 2K client shards are not checked again
+        calls = []
+        check = LabeledDataset.__post_init__
+        monkeypatch.setattr(LabeledDataset, "__post_init__",
+                            lambda self: calls.append(1) or check(self))
+        cfg = config(clients=1000, samples_per_client=10, d=3, dirichlet_alpha=100.0)
+        _, _, store = build_clients(cfg)
+        shards = [(client.train, client.test) for client in store]
+        shards += [(store[k].train, store[k].test) for k in range(len(store))]
+        assert len(shards) == 2000
+        assert len(calls) <= 3
+
+    def test_store_is_read_only_and_iterates_views_in_id_order(self):
+        cfg = config(clients=1000, samples_per_client=10, d=3, dirichlet_alpha=100.0)
+        _, _, store = build_clients(cfg)
+        with pytest.raises(ValueError, match="read-only"):
+            store.train.features[0, 0] = 1.0
+        for part in (store.train, store.test):
+            for array in (part.features, part.labels, part.sectors):
+                assert not array.flags.writeable
+        assert len(store) == 1000
+        assert [c.client_id for c in store] == list(range(1000))
+        for k in range(len(store)):
+            client = store[k]
+            assert client.client_id == k
+            for shard, whole in ((client.train, store.train), (client.test, store.test)):
+                assert np.shares_memory(shard.features, whole.features)
+                assert np.shares_memory(shard.labels, whole.labels)
+                assert np.shares_memory(shard.sectors, whole.sectors)
+        assert store[-1].client_id == 999
+        with pytest.raises(IndexError):
+            store[1000]
+
+    def test_averaging_step_trains_on_each_survivors_shard(self, monkeypatch):
+        cfg = config(algorithm="fedprox", mu=0.1, clients=6, samples_per_client=30,
+                     seed=5, d=3, num_sectors=2, local_epochs=2)
+        _, _, store = build_clients(cfg)
+        seen = []
+        local_sgd = _kernels.local_sgd
+
+        def recorded(features, labels, *args):
+            seen.append((features, labels))
+            return local_sgd(features, labels, *args)
+
+        monkeypatch.setattr(_kernels, "local_sgd", recorded)
+        state = store.evaluate(np.full(4, 0.1), cfg.beta, cfg.c)
+        survivors = np.array([0, 2, 3, 5])
+        _averaging_step(state, store, cfg, survivors)
+        assert len(seen) == survivors.size
+        for cid, (features, labels) in zip(survivors.tolist(), seen):
+            shard = store[cid].train
+            assert features.__array_interface__ == shard.features.__array_interface__
+            assert labels.__array_interface__ == shard.labels.__array_interface__
