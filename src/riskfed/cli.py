@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import re
 import sys
+from dataclasses import MISSING, fields
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -22,16 +23,21 @@ from .metrics import write_metrics_csv
 from .partition import validate_partition, write_partition_csv
 
 _COMMENT = re.compile(r"(^|\s)#.*")
-_REQUIRED = ("algorithm", "clients", "samples_per_client", "rounds", "seed")
 
 
 def parse_config(path) -> ExperimentConfig:
-    """Parse and validate a flat key=value config file."""
+    """Parse and validate a flat key=value config file; a file that cannot
+    be found, read or decoded is a ConfigurationError naming it."""
     path = Path(path)
-    if not path.is_file():
-        raise ConfigurationError(f"config file not found: {path}")
+    try:
+        text = path.read_text(encoding="utf-8")
+    except FileNotFoundError:
+        raise ConfigurationError(f"config file not found: {path}") from None
+    except (OSError, UnicodeDecodeError) as exc:
+        reason = getattr(exc, "strerror", None) or exc
+        raise ConfigurationError(f"{path}: cannot read: {reason}") from None
     values, lines = {}, {}
-    for lineno, raw in enumerate(path.read_text(encoding="utf-8").splitlines(), 1):
+    for lineno, raw in enumerate(text.splitlines(), 1):
         line = _COMMENT.sub("", raw, count=1).strip()
         if not line:
             continue
@@ -42,7 +48,7 @@ def parse_config(path) -> ExperimentConfig:
             raise ConfigurationError(f"{path}:{lineno}: unknown key {key!r}")
         if key in values:
             raise ConfigurationError(f"{path}:{lineno}: duplicate key {key!r}")
-        attr, cast = CONFIG_SCHEMA[key]
+        attr, cast, _, _ = CONFIG_SCHEMA[key]
         try:
             values[attr] = cast(value)
         except ValueError:
@@ -51,7 +57,9 @@ def parse_config(path) -> ExperimentConfig:
             ) from None
         lines[key] = lineno
 
-    missing = [k for k in _REQUIRED if CONFIG_SCHEMA[k][0] not in values]
+    no_default = {f.name for f in fields(ExperimentConfig) if f.default is MISSING}
+    missing = [key for key, (attr, *_) in CONFIG_SCHEMA.items()
+               if attr in no_default and attr not in values]
     if missing:
         raise ConfigurationError(f"{path}: missing required keys: {', '.join(missing)}")
     config = ExperimentConfig(**values)
@@ -67,7 +75,7 @@ def parse_config(path) -> ExperimentConfig:
 def resolved_config_text(config: ExperimentConfig) -> str:
     """Canonical flat rendering of a fully-defaulted config."""
     out = []
-    for key, (attr, cast) in CONFIG_SCHEMA.items():
+    for key, (attr, cast, _, _) in CONFIG_SCHEMA.items():
         value = getattr(config, attr)
         out.append(f"{key} = {repr(float(value)) if cast is float else value}")
     return "\n".join(out) + "\n"
@@ -79,11 +87,22 @@ def _write_weights_csv(weights, path) -> None:
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
+def _out_dir(out) -> Path:
+    """--out as a path whose nearest existing part is a directory, so the
+    artifacts can be written there once the work is done."""
+    path = Path(out)
+    existing = next(p for p in (path, *path.parents) if p.exists())
+    if not existing.is_dir():
+        raise ConfigurationError(f"--out {out}: {existing} is not a directory")
+    return path
+
+
 def _cmd_run(args) -> int:
     config = parse_config(args.config)
+    out = _out_dir(args.out)
     stamp = datetime.now(timezone.utc).strftime("%Y%m%dT%H%M%S%f")
     result = run_experiment(config)
-    run_dir = Path(args.out) / f"{stamp}-seed{config.seed}"
+    run_dir = out / f"{stamp}-seed{config.seed}"
     run_dir.mkdir(parents=True)
     (run_dir / "resolved_config.txt").write_text(resolved_config_text(config),
                                                  encoding="utf-8")
@@ -102,10 +121,10 @@ def _cmd_validate(args) -> int:
 
 def _cmd_partition_report(args) -> int:
     config = parse_config(args.config)
+    out_dir = _out_dir(args.out) if args.out else None
     data, plan = build_data_and_plan(config)
     report = validate_partition(plan, data)
-    if args.out:
-        out_dir = Path(args.out)
+    if out_dir is not None:
         out_dir.mkdir(parents=True, exist_ok=True)
         write_partition_csv(plan, out_dir / "partition.csv")
     for client, size in enumerate(report.client_sizes):

@@ -80,12 +80,6 @@ def generate_synthetic(
     with standard normal noise, so the label is linearly recoverable and
     the recoverable direction differs per sector.
     """
-    if n < 1 or d < 2 or num_sectors < 1:
-        raise ConfigurationError(
-            f"need n >= 1, d >= 2, num_sectors >= 1; got {n}, {d}, {num_sectors}"
-        )
-    if signal <= 0:
-        raise ConfigurationError(f"signal strength must be positive, got {signal}")
     rng = np.random.default_rng(seed)
     means = rng.standard_normal((num_sectors, d))
     means /= np.linalg.norm(means, axis=1, keepdims=True)
@@ -185,9 +179,8 @@ def write_csv(data: LabeledDataset, path) -> None:
 
 
 def split_point(n: int, fraction: float) -> int:
-    """Leading records that train: floor(fraction*n), leaving both sides non-empty."""
-    if not 0.0 < fraction < 1.0:
-        raise ConfigurationError(f"train fraction must lie in (0, 1), got {fraction}")
+    """Leading records that train: floor(fraction*n). A cut that leaves a
+    side empty, as any fraction outside (0, 1) does, is rejected."""
     cut = int(np.floor(fraction * n))
     if cut < 1 or cut >= n:
         raise ConfigurationError(

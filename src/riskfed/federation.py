@@ -17,6 +17,7 @@ averaging step of fedprox, of which fedavg is the case mu = 0.
 
 from __future__ import annotations
 
+import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -47,29 +48,31 @@ def _child_seed(seed: int, stream: int) -> int:
     return int(np.random.SeedSequence([seed, stream]).generate_state(1, np.uint64)[0])
 
 
-# config-file key -> (ExperimentConfig attribute, parser)
+# config-file key -> (ExperimentConfig attribute, parser, valid, expected):
+# the one statement of each key's range, checked by validate in this order
 CONFIG_SCHEMA = {
-    "algorithm": ("algorithm", str),
-    "clients": ("clients", int),
-    "samples_per_client": ("samples_per_client", int),
-    "rounds": ("rounds", int),
-    "seed": ("seed", int),
-    "d": ("d", int),
-    "num_sectors": ("num_sectors", int),
-    "signal": ("signal", float),
-    "data_csv": ("data_csv", str),
-    "train_fraction": ("train_fraction", float),
-    "C": ("labels_per_client", int),
-    "alpha": ("dirichlet_alpha", float),
-    "beta": ("beta", float),
-    "c": ("c", float),
-    "epsilon": ("epsilon", float),
-    "participation_rate": ("participation_rate", float),
-    "dropout_rate": ("dropout_rate", float),
-    "local_epochs": ("local_epochs", int),
-    "local_lr": ("local_lr", float),
-    "mu": ("mu", float),
-    "workers": ("workers", int),
+    "algorithm": ("algorithm", str, lambda v: v in ALGORITHMS, f"one of {ALGORITHMS}"),
+    "clients": ("clients", int, lambda v: v >= 1, ">= 1"),
+    "samples_per_client": ("samples_per_client", int, lambda v: v >= 1, ">= 1"),
+    "rounds": ("rounds", int, lambda v: v >= 0, ">= 0"),
+    "seed": ("seed", int, lambda v: v >= 0, ">= 0"),
+    "d": ("d", int, lambda v: v >= 2, ">= 2"),
+    "num_sectors": ("num_sectors", int, lambda v: v >= 1, ">= 1"),
+    "signal": ("signal", float, lambda v: v > 0, "> 0"),
+    "data_csv": ("data_csv", str, lambda v: True, "a path or empty"),
+    "train_fraction": ("train_fraction", float, lambda v: 0 < v < 1, "in (0, 1)"),
+    "C": ("labels_per_client", int, lambda v: v >= 1, ">= 1"),
+    "alpha": ("dirichlet_alpha", float, lambda v: v > 0, "> 0"),
+    "beta": ("beta", float, lambda v: 0 < v < 1, "in (0, 1)"),
+    "c": ("c", float, lambda v: v >= 0, ">= 0"),
+    "epsilon": ("epsilon", float, lambda v: v >= 0, ">= 0"),
+    "participation_rate": ("participation_rate", float, lambda v: 0 < v <= 1,
+                           "in (0, 1]"),
+    "dropout_rate": ("dropout_rate", float, lambda v: 0 <= v < 1, "in [0, 1)"),
+    "local_epochs": ("local_epochs", int, lambda v: v >= 0, ">= 0"),
+    "local_lr": ("local_lr", float, lambda v: v > 0, "> 0"),
+    "mu": ("mu", float, lambda v: v >= 0, ">= 0"),
+    "workers": ("workers", int, lambda v: v >= 1, ">= 1"),
 }
 
 
@@ -108,34 +111,14 @@ class ExperimentConfig:
             self.workers = os.cpu_count() or 1
 
     def validate(self) -> None:
-        checks = [
-            (self.algorithm in ALGORITHMS, "algorithm", f"one of {ALGORITHMS}"),
-            (self.clients >= 1, "clients", ">= 1"),
-            (self.samples_per_client >= 1, "samples_per_client", ">= 1"),
-            (self.rounds >= 0, "rounds", ">= 0"),
-            (self.seed >= 0, "seed", ">= 0"),
-            (self.d >= 2, "d", ">= 2"),
-            (self.num_sectors >= 1, "num_sectors", ">= 1"),
-            (self.signal > 0, "signal", "> 0"),
-            (0 < self.train_fraction < 1, "train_fraction", "in (0, 1)"),
-            (self.labels_per_client >= 1, "C", ">= 1"),
-            (self.dirichlet_alpha > 0, "alpha", "> 0"),
-            (0 < self.beta < 1, "beta", "in (0, 1)"),
-            (self.c >= 0, "c", ">= 0"),
-            (self.epsilon >= 0, "epsilon", ">= 0"),
-            (0 < self.participation_rate <= 1, "participation_rate", "in (0, 1]"),
-            (0 <= self.dropout_rate < 1, "dropout_rate", "in [0, 1)"),
-            (self.local_epochs >= 0, "local_epochs", ">= 0"),
-            (self.local_lr > 0, "local_lr", "> 0"),
-            (self.mu >= 0, "mu", ">= 0"),
-            (self.workers >= 1, "workers", ">= 1"),
-        ]
-        for ok, key, expected in checks:
-            if not ok:
+        """Check each key against CONFIG_SCHEMA, then the rules that join
+        two keys, then that every float is finite. The first failure is
+        raised, its message starting with the key's name."""
+        for key, (attr, _, valid, expected) in CONFIG_SCHEMA.items():
+            value = getattr(self, attr)
+            if not valid(value):
                 raise ConfigurationError(
-                    f"{key} = {getattr(self, CONFIG_SCHEMA[key][0])!r} "
-                    f"out of range, expected {expected}"
-                )
+                    f"{key} = {value!r} out of range, expected {expected}")
         if self.algorithm == "fral_cse" and self.local_epochs != 0:
             raise ConfigurationError(
                 f"local_epochs = {self.local_epochs!r} must be 0 for fral_cse: "
@@ -143,6 +126,10 @@ class ExperimentConfig:
             )
         if self.mu != 0.0 and self.algorithm != "fedprox":
             raise ConfigurationError("mu applies to the fedprox algorithm only")
+        for key, (attr, cast, _, _) in CONFIG_SCHEMA.items():
+            value = getattr(self, attr)
+            if cast is float and not math.isfinite(value):
+                raise ConfigurationError(f"{key} = {value!r} is not finite")
 
 
 @dataclass
@@ -159,8 +146,6 @@ def sample_participants(
     num_clients: int, rate: float, round_index: int, seed: int
 ) -> np.ndarray:
     """Uniformly draw max(1, floor(rate * K)) distinct client ids, sorted."""
-    if not 0 < rate <= 1:
-        raise ConfigurationError(f"participation rate must lie in (0, 1], got {rate}")
     count = max(1, int(np.floor(rate * num_clients)))
     rng = np.random.default_rng([seed, round_index, _PARTICIPATION_STREAM])
     return np.sort(rng.choice(num_clients, size=count, replace=False))
@@ -176,8 +161,6 @@ def apply_dropout(
     rate; all participants are drawn in one vectorized pass. Every
     uniform is at least 0, so at rate 0 nothing is drawn.
     """
-    if not 0 <= rate < 1:
-        raise ConfigurationError(f"dropout rate must lie in [0, 1), got {rate}")
     participants = np.asarray(participants, dtype=np.int64)
     if rate == 0:
         return np.sort(participants)

@@ -101,8 +101,6 @@ def central_update(
     Solves via Cholesky factorization with one refinement pass if the
     residual exceeds 1e-8 * max(1, ||g||).
     """
-    if epsilon < 0:
-        raise NumericalError(f"damping must be nonnegative, got {epsilon}")
     a = np.array(s, dtype=np.float64)
     a[np.diag_indices(a.shape[0])] += epsilon
     try:

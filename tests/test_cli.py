@@ -80,6 +80,25 @@ class TestParseConfig:
         with pytest.raises(ConfigurationError, match=r":7.*participation_rate"):
             parse_config(path)
 
+    @pytest.mark.parametrize("key, value", [
+        ("participation_rate", "0.0"), ("dropout_rate", "1.0"), ("clients", "0"),
+        ("d", "1"), ("num_sectors", "0"), ("signal", "0"), ("alpha", "0"),
+        ("epsilon", "-1"), ("train_fraction", "1.0"),
+        *[(key, "inf") for key in ("signal", "alpha", "epsilon", "c", "local_lr",
+                                   "mu")],
+    ])
+    def test_rejected_value_named_with_line(self, tmp_path, key, value):
+        # the key goes last, replacing any line of MINIMAL that sets it
+        text = MINIMAL.replace("fral_cse", "fedprox") if key == "mu" else MINIMAL
+        lines = [line for line in text.splitlines()
+                 if not line.startswith(f"{key} =")] + [f"{key} = {value}"]
+        path = write_config(tmp_path, "\n".join(lines) + "\n")
+        reason = "is not finite" if value == "inf" else "out of range"
+        with pytest.raises(ConfigurationError,
+                           match=rf"exp\.conf:{len(lines)}: {key} = \S+ {reason}"):
+            parse_config(path)
+        assert main(["validate", "--config", str(path)]) == 2
+
     def test_missing_required_keys(self, tmp_path):
         path = write_config(tmp_path, "algorithm = fedavg\n")
         with pytest.raises(ConfigurationError, match="missing required"):
@@ -143,6 +162,31 @@ class TestMainRun:
                      "--out", str(tmp_path / "out")])
         assert code == 2
         assert "error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("kind", ["directory", "not utf-8"])
+    def test_unreadable_config_exit_code_two(self, tmp_path, capsys, kind):
+        path = tmp_path / "exp.conf"
+        if kind == "directory":
+            path.mkdir()
+        else:
+            path.write_bytes(MINIMAL.encode() + b"# caf\xe9\n")
+        code = main(["run", "--config", str(path), "--out", str(tmp_path / "o")])
+        assert code == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith(f"error: {path}: cannot read: ")
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("command", ["run", "partition-report"])
+    def test_out_that_is_a_file_exit_code_two(self, tmp_path, command):
+        # the records do not exist: building the data first would exit 3
+        config = write_config(tmp_path, MINIMAL + f"data_csv = {tmp_path / 'no.csv'}\n")
+        out = tmp_path / "taken"
+        out.write_text("kept\n", encoding="utf-8")
+        proc = run_cli(command, "--config", str(config), "--out", str(out))
+        assert proc.returncode == 2
+        assert proc.stderr == f"error: --out {out}: {out} is not a directory\n"
+        assert out.read_text(encoding="utf-8") == "kept\n"
 
     def test_bad_data_csv_exit_code_three(self, tmp_path):
         bad = tmp_path / "bad.csv"

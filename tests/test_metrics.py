@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 
-from riskfed.errors import DataError
 from riskfed.metrics import RoundRecord, accuracy, write_metrics_csv
 
 from conftest import make_dataset
@@ -38,11 +37,6 @@ class TestAccuracy:
         doubled = accuracy(w, dataset_factory(np.vstack([features, features]),
                                               np.concatenate([labels, labels])))
         assert single == doubled
-
-    def test_empty_rejected(self, dataset_factory):
-        data = dataset_factory([[1.0, 0.0]], [1])
-        with pytest.raises(DataError):
-            accuracy(np.zeros(3), data.subset([]))
 
 
 class TestMetricsCsv:

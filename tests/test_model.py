@@ -83,7 +83,3 @@ class TestInitWeights:
         w = init_weights(3, 7)
         assert w.shape == (4,)
         assert np.all(np.abs(w) <= 0.01)
-
-    def test_zero_dimension_rejected(self):
-        with pytest.raises(ConfigurationError):
-            init_weights(0, 1)
