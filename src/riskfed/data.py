@@ -20,33 +20,13 @@ from .errors import ConfigurationError, DataError
 
 @dataclass(frozen=True)
 class LabeledDataset:
-    """Ordered feature/label/sector arrays; row order is temporal."""
+    """Ordered feature/label/sector arrays; row order is temporal. It
+    checks nothing: ``load_csv`` checks outside data row by row, and
+    ``generate_synthetic`` makes valid rows by construction."""
 
     features: np.ndarray  # (n, d) float64, C-contiguous
     labels: np.ndarray  # (n,) float64, values in {-1, +1}
     sectors: np.ndarray  # (n,) int64
-
-    def __post_init__(self):
-        if self.features.ndim != 2:
-            raise DataError("features must be a 2-D array")
-        n = self.features.shape[0]
-        if self.labels.shape != (n,) or self.sectors.shape != (n,):
-            raise DataError("labels/sectors length must match feature rows")
-        if not np.all(np.isfinite(self.features)):
-            raise DataError("features contain non-finite values")
-        if not np.all(np.abs(self.labels) == 1.0):
-            raise DataError("labels must be -1 or +1")
-
-    @classmethod
-    def _trusted(cls, features, labels, sectors) -> "LabeledDataset":
-        """Rows selected from a validated dataset, without checking them
-        again: selecting rows cannot make a finite value non-finite or a
-        +-1 label anything else."""
-        self = object.__new__(cls)
-        object.__setattr__(self, "features", features)
-        object.__setattr__(self, "labels", labels)
-        object.__setattr__(self, "sectors", sectors)
-        return self
 
     def __len__(self) -> int:
         return self.features.shape[0]
@@ -58,7 +38,7 @@ class LabeledDataset:
     def subset(self, indices) -> "LabeledDataset":
         """Row subset in the given index order."""
         idx = np.asarray(indices, dtype=np.int64)
-        return LabeledDataset._trusted(
+        return LabeledDataset(
             np.ascontiguousarray(self.features[idx]),
             self.labels[idx].copy(),
             self.sectors[idx].copy(),
@@ -66,7 +46,7 @@ class LabeledDataset:
 
     def rows(self, start: int, stop: int) -> "LabeledDataset":
         """Rows start:stop as views of this dataset's arrays, not copies."""
-        return LabeledDataset._trusted(
+        return LabeledDataset(
             self.features[start:stop], self.labels[start:stop], self.sectors[start:stop])
 
 
@@ -105,9 +85,11 @@ def _feature_header(d: int) -> list[str]:
 def load_csv(path) -> LabeledDataset:
     """Read a dataset CSV; row order is preserved as temporal order.
 
-    Expected header: feature_0..feature_{d-1},label[,sector]. The label
-    field must be exactly -1 or 1; sector defaults to 0 when absent. A
-    file that cannot be opened or decoded is a DataError naming it.
+    Expected header: feature_0..feature_{d-1},label[,sector]. This is
+    the only check of outside data: each row must have the header's cell
+    count, finite numeric features, a label of exactly -1 or 1, and an
+    int64 sector (0 when absent). The first bad row, and a file that
+    cannot be opened or decoded, is a DataError naming the file.
     """
     try:
         with open(path, newline="", encoding="utf-8") as fh:
@@ -155,6 +137,8 @@ def _read_records(path, reader):
             )
         try:
             sector = int(row[ncols + 1]) if has_sector else 0
+            if not -2**63 <= sector < 2**63:  # fits the int64 sectors array
+                raise ValueError
         except ValueError:
             raise DataError(
                 f"{path}: row {rownum} sector must be an integer, "

@@ -99,10 +99,13 @@ def central_update(
     """One damped second-order step: w - (S + eps*I)^{-1} g.
 
     Solves via Cholesky factorization with one refinement pass if the
-    residual exceeds 1e-8 * max(1, ||g||).
+    residual exceeds 1e-8 * max(1, ||g||). A system with a non-finite
+    entry, as finite but huge features make, is a NumericalError.
     """
     a = np.array(s, dtype=np.float64)
     a[np.diag_indices(a.shape[0])] += epsilon
+    if not (np.isfinite(a).all() and np.isfinite(g).all()):
+        raise NumericalError("sensitivity system is not finite")
     try:
         factor = scipy.linalg.cho_factor(a, lower=True)
         step = scipy.linalg.cho_solve(factor, g)

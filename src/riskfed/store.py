@@ -3,15 +3,16 @@
 The train rows of every client sit in one C-contiguous array, ordered by
 (train size, client id), so the clients of one size form one contiguous
 (clients, n, d) block; the test rows sit in another, client by client in
-id order. The rows are checked once, when the dataset is read or made;
-the store's arrays are read-only, so nothing can write a bad value after
-that check. Client k's shards are views of its row ranges, built when
-the client is accessed, so no row is held twice. ``ClientStore.evaluate``
-scores every train row at one weight vector and returns each client's
-tail threshold, tail-active rows and local loss, plus the size-weighted
-train loss. Each quantity is computed with the same floating-point
-operations, on the same values, as the per-client numpy kernel
-``_kernels.client_eval``, so the results equal it bit for bit.
+id order. The rows are valid as read or made: ``load_csv`` checks each
+row of a CSV, and synthetic rows are valid by construction. The arrays
+are read-only, so nothing can write a bad value afterwards. Client k's
+shards are views of its row ranges, built when the client is accessed,
+so no row is held twice. ``ClientStore.evaluate`` scores every train row
+at one weight vector and returns each client's tail threshold,
+tail-active rows and local loss, plus the size-weighted train loss.
+Each quantity is computed with the same floating-point operations, on
+the same values, as the per-client numpy kernel ``_kernels.client_eval``,
+so the results equal it bit for bit.
 """
 
 from __future__ import annotations

@@ -7,7 +7,10 @@ import pytest
 
 import riskfed
 from riskfed.cli import main, parse_config, resolved_config_text
+from riskfed.data import generate_synthetic, write_csv
 from riskfed.errors import ConfigurationError
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 MINIMAL = """\
 algorithm = fral_cse
@@ -234,11 +237,18 @@ class TestMainRun:
         ("algorithm = fedprox\nmu = 0.5\nlocal_lr = 1e150\nlocal_epochs = 5\n"
          "workers = 2\n",
          "round 1: weights are not finite after the update"),
+        # a finite but huge feature overflows the Gram to inf before the
+        # Cholesky factorization
+        ("algorithm = fral_cse\ndata_csv = {huge_csv}\n",
+         "round 4: sensitivity system is not finite"),
     ])
     def test_divergence_prints_only_the_error_line(self, tmp_path, overrides, error):
+        huge = generate_synthetic(200, 2, 1, seed=0)
+        huge.features[5, 0] = 1e200
+        write_csv(huge, tmp_path / "huge.csv")
         text = ("clients = 10\nsamples_per_client = 1000\nrounds = 50\nseed = 42\n"
                 "d = 20\nnum_sectors = 2\nsignal = 2.5\n" + overrides)
-        config = write_config(tmp_path, text)
+        config = write_config(tmp_path, text.format(huge_csv=tmp_path / "huge.csv"))
         out = run_cli("run", "--config", str(config), "--out", str(tmp_path / "o"))
         assert out.returncode == 4
         assert out.stderr == f"error: {error}\n"
@@ -302,3 +312,20 @@ class TestMainPartitionReport:
         lines = (out / "partition.csv").read_text(encoding="utf-8").splitlines()
         assert lines[0] == "client_id,record_index"
         assert len(lines) == 1 + 3 * 40
+
+
+class TestShippedConfigs:
+    """The configs the README's commands name stay valid under the schema."""
+
+    @pytest.mark.parametrize("config", sorted(p for p in CONFIGS.iterdir() if p.is_file()),
+                             ids=lambda p: p.name)
+    def test_validates(self, config):
+        assert main(["validate", "--config", str(config)]) == 0
+
+    def test_quickstart_runs_and_writes_four_artifacts(self, tmp_path):
+        out = tmp_path / "runs"
+        assert main(["run", "--config", str(CONFIGS / "quickstart.conf"),
+                     "--out", str(out)]) == 0
+        (run_dir,) = out.iterdir()
+        assert sorted(p.name for p in run_dir.iterdir()) == [
+            "metrics.csv", "partition.csv", "resolved_config.txt", "weights.csv"]

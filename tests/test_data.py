@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from riskfed.data import (
     LabeledDataset,
@@ -41,6 +43,22 @@ class TestGenerateSynthetic:
     def test_sector_tags_within_range(self):
         data = generate_synthetic(200, 3, 4, seed=5)
         assert set(np.unique(data.sectors)) <= set(range(4))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 300), st.integers(2, 8), st.integers(1, 6),
+       st.integers(0, 2**63),
+       st.floats(min_value=5e-324, max_value=1e300, allow_subnormal=True))
+def test_generated_rows_keep_the_dataset_invariants(n, d, num_sectors, seed, signal):
+    # the ranges validate lets through, up to a signal of 1e300: the
+    # generator is the second producer of datasets and checks nothing
+    data = generate_synthetic(n, d, num_sectors, seed=seed, signal=signal)
+    assert data.features.shape == (n, d) and data.features.dtype == np.float64
+    assert data.features.flags.c_contiguous
+    assert np.isfinite(data.features).all()
+    assert data.labels.shape == (n,) and set(np.unique(data.labels)) <= {-1.0, 1.0}
+    assert data.sectors.shape == (n,) and data.sectors.dtype == np.int64
+    assert set(np.unique(data.sectors)) <= set(range(num_sectors))
 
 
 class TestCsvRoundTrip:
@@ -94,11 +112,15 @@ class TestCsvRoundTrip:
             load_csv(path)
 
     def test_non_integer_sector_names_row(self, tmp_path):
+        # the second passes int() but does not fit the int64 sectors array
         path = tmp_path / "bad.csv"
-        path.write_text("feature_0,feature_1,label,sector\n0.1,0.2,1,x\n",
-                        encoding="utf-8")
-        with pytest.raises(DataError, match=r"bad\.csv: row 2 sector"):
-            load_csv(path)
+        for sector in ("x", "99999999999999999999"):
+            path.write_text(f"feature_0,feature_1,label,sector\n0.1,0.2,1,{sector}\n",
+                            encoding="utf-8")
+            with pytest.raises(DataError,
+                               match=rf"bad\.csv: row 2 sector must be an integer, "
+                                     rf"got '{sector}'"):
+                load_csv(path)
 
     def test_missing_header_rejected(self, tmp_path):
         path = tmp_path / "bad.csv"
@@ -124,19 +146,68 @@ class TestCsvRoundTrip:
         np.testing.assert_array_equal(back.sectors, data.sectors)
 
 
-class TestLabeledDataset:
-    @pytest.mark.parametrize("features, labels, message", [
-        ([[1.0, np.nan]], [1.0], "non-finite"),
-        ([[1.0, np.inf]], [-1.0], "non-finite"),
-        ([[1.0, 2.0]], [0.0], "-1 or \\+1"),
-        ([[1.0, 2.0]], [1.0, 1.0], "length"),
-        ([1.0, 2.0], [1.0, 1.0], "2-D"),
-    ])
-    def test_constructor_checks_every_field(self, features, labels, message):
-        with pytest.raises(DataError, match=message):
-            LabeledDataset(features=np.asarray(features), labels=np.asarray(labels),
-                           sectors=np.zeros(len(labels), dtype=np.int64))
+# load_csv is the one check of outside data: a good row, or a row with one
+# fault of a kind the rules name
+GOOD_CELLS = st.floats(allow_nan=False, allow_infinity=False).map(repr)
+FAULTS = {
+    "cell": ["nan", "inf", "-inf", "1e400", "x", ""],
+    "label": ["0", "+1", "1.0"],
+    "sector": ["x", "2.5", "99999999999999999999"],
+}
 
+
+@st.composite
+def csv_rows(draw):
+    """d, whether a sector column is present, the data rows as cell lists,
+    and the numbers of the rows that hold a fault (the header is row 1)."""
+    d = draw(st.integers(1, 3))
+    has_sector = draw(st.booleans())
+    kinds = [None, "cell", "label", "short"] + ["sector"] * has_sector
+    rows, bad = [], []
+    for rownum in range(2, 2 + draw(st.integers(1, 4))):
+        row = draw(st.lists(GOOD_CELLS, min_size=d, max_size=d))
+        row.append(draw(st.sampled_from(["-1", "1"])))
+        if has_sector:
+            row.append(draw(st.sampled_from(["0", "7", "-2"])))
+        kind = draw(st.sampled_from(kinds))
+        if kind == "short":
+            row.pop()
+        elif kind:
+            at = {"cell": draw(st.integers(0, d - 1)), "label": d, "sector": d + 1}[kind]
+            row[at] = draw(st.sampled_from(FAULTS[kind]))
+        if kind:
+            bad.append(rownum)
+        rows.append(row)
+    return d, has_sector, rows, bad
+
+
+@settings(max_examples=300, deadline=None)
+@given(csv_rows())
+def test_load_csv_returns_valid_rows_or_names_the_first_bad_one(tmp_path_factory, case):
+    d, has_sector, rows, bad = case
+    path = tmp_path_factory.mktemp("csv") / "data.csv"
+    header = [f"feature_{j}" for j in range(d)] + ["label"] + ["sector"] * has_sector
+    path.write_text("\n".join(",".join(r) for r in [header] + rows) + "\n",
+                    encoding="utf-8")
+    if bad:
+        with pytest.raises(DataError) as info:
+            load_csv(path)
+        assert f"data.csv: row {bad[0]} " in str(info.value)
+        return
+    data = load_csv(path)
+    n = len(rows)
+    assert data.features.shape == (n, d) and data.features.dtype == np.float64
+    assert data.features.flags.c_contiguous
+    assert np.isfinite(data.features).all()
+    np.testing.assert_array_equal(data.features, [[float(c) for c in r[:d]] for r in rows])
+    assert data.labels.shape == (n,) and data.labels.dtype == np.float64
+    np.testing.assert_array_equal(data.labels, [float(r[d]) for r in rows])
+    assert data.sectors.shape == (n,) and data.sectors.dtype == np.int64
+    np.testing.assert_array_equal(
+        data.sectors, [int(r[d + 1]) if has_sector else 0 for r in rows])
+
+
+class TestLabeledDataset:
     def test_rows_are_views_and_subset_copies(self):
         data = generate_synthetic(n=20, d=3, num_sectors=2, seed=1)
         view = data.rows(4, 9)

@@ -3,7 +3,7 @@ import pytest
 
 from riskfed import _kernels
 from riskfed._pcg import first_uniforms
-from riskfed.data import LabeledDataset, temporal_split
+from riskfed.data import temporal_split
 from riskfed.errors import ConfigurationError
 from riskfed.federation import (
     ExperimentConfig,
@@ -328,20 +328,6 @@ class TestBuildClients:
             assert np.shares_memory(client.train.features, store.train.features)
             assert np.shares_memory(client.test.features, store.test.features)
         assert len(store.train) + len(store.test) == len(data)
-
-    def test_build_validates_the_rows_once_whatever_k(self, monkeypatch):
-        # the dataset is checked where it is made; the store's gathers and
-        # the 2K client shards are not checked again
-        calls = []
-        check = LabeledDataset.__post_init__
-        monkeypatch.setattr(LabeledDataset, "__post_init__",
-                            lambda self: calls.append(1) or check(self))
-        cfg = config(clients=1000, samples_per_client=10, d=3, dirichlet_alpha=100.0)
-        _, _, store = build_clients(cfg)
-        shards = [(client.train, client.test) for client in store]
-        shards += [(store[k].train, store[k].test) for k in range(len(store))]
-        assert len(shards) == 2000
-        assert len(calls) <= 3
 
     def test_store_is_read_only_and_iterates_views_in_id_order(self):
         cfg = config(clients=1000, samples_per_client=10, d=3, dirichlet_alpha=100.0)
