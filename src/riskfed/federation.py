@@ -4,8 +4,8 @@ One experiment is fully determined by its configuration, including every
 random stream: data generation, partitioning, weight initialization, and
 the per-round participation and dropout draws all derive from the single
 experiment seed through fixed stream tags. Per-client dropout draws are
-seeded by (seed, round, client), so scheduling and worker count can never
-change an outcome.
+seeded by (seed, round, client). Clients train in one serial loop on one
+pinned OpenBLAS thread, so no thread count of the host changes an outcome.
 
 Clients live in one ``ClientStore``. Each round starts from the store's
 evaluation at the broadcast weights and ends with the one evaluation at
@@ -18,13 +18,11 @@ averaging step of fedprox, of which fedavg is the case mu = 0.
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import _kernels, sensitivity
+from . import _blas, _kernels, sensitivity
 from ._pcg import first_uniforms
 # temporal_split stays a name here: perfbench/child.py wraps it by this name
 from .data import generate_synthetic, load_csv, split_point, temporal_split  # noqa: F401
@@ -100,15 +98,13 @@ class ExperimentConfig:
     local_epochs: int | None = None
     local_lr: float = 0.05
     mu: float = 0.0
-    workers: int | None = None
+    workers: int = 1  # range-checked, then unused: clients train serially
 
     def __post_init__(self):
         if self.num_sectors is None:
             self.num_sectors = min(self.clients, 5)
         if self.local_epochs is None:
             self.local_epochs = 0 if self.algorithm == "fral_cse" else 1
-        if self.workers is None:
-            self.workers = os.cpu_count() or 1
 
     def validate(self) -> None:
         """Check each key against CONFIG_SCHEMA, then the rules that join
@@ -168,20 +164,6 @@ def apply_dropout(
     return np.sort(participants[draws >= rate])
 
 
-def _map_clients(fn, survivors, workers):
-    ids = [int(cid) for cid in survivors]
-    if workers <= 1 or len(ids) <= 1:
-        return [fn(cid) for cid in ids]
-    err = np.geterr()  # pool threads start from numpy's default error handling
-
-    def run(cid):
-        with np.errstate(**err):
-            return fn(cid)
-
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(run, ids))
-
-
 def _fral_step(state: TrainPass, store: ClientStore, config, survivors):
     """S and g from the survivors' tail-active rows, then the damped
     second-order central update."""
@@ -199,19 +181,14 @@ def _averaging_step(state: TrainPass, store: ClientStore, config, survivors):
     trains on a slice of the store's train rows."""
     w = state.w
     features, labels = store.train.features, store.train.labels
-
-    def train(cid):
+    total_n = int(store.train_sizes[survivors].sum())
+    w_next = np.zeros_like(w)
+    for cid in survivors.tolist():
         a, n = int(store.train_starts[cid]), int(store.train_sizes[cid])
         local_w = _kernels.local_sgd(
             features[a:a + n], labels[a:a + n], w, w, config.beta, config.c,
             config.local_epochs, config.local_lr, config.mu,
         )
-        return n, local_w
-
-    results = _map_clients(train, survivors, config.workers)
-    total_n = sum(n for n, _ in results)
-    w_next = np.zeros_like(w)
-    for n, local_w in results:
         w_next += (n / total_n) * local_w
     return w_next
 
@@ -307,8 +284,9 @@ def build_clients(config: ExperimentConfig):
 
 
 def run_experiment(config: ExperimentConfig) -> ExperimentResult:
-    """Run all rounds; deterministic per configuration."""
+    """Run all rounds on one pinned BLAS thread; deterministic per configuration."""
     config.validate()
+    _blas.pin_one_thread()
     _, plan, store = build_clients(config)
     w0 = init_weights(store.train.dim, _child_seed(config.seed, _INIT_STREAM))
     state = store.evaluate(w0.copy(), config.beta, config.c)
@@ -323,9 +301,5 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
             except ExperimentError as exc:
                 raise type(exc)(f"round {round_index}: {exc}") from exc
             records.append(record)
-    return ExperimentResult(
-        records=records,
-        initial_weights=w0,
-        final_weights=state.w,
-        plan=plan,
-    )
+    return ExperimentResult(records=records, initial_weights=w0,
+                            final_weights=state.w, plan=plan)

@@ -248,26 +248,33 @@ def test_criterion_7_participation_robustness():
 
 
 def test_criterion_8_run_determinism(tmp_path):
+    # fral_cse's central step and fedprox's per-client local training
     start = time.perf_counter()
-    blobs = {}
-    for workers in (1, 8):
-        config_text = (
-            "algorithm = fral_cse\nclients = 5\nsamples_per_client = 200\n"
-            "rounds = 10\nseed = 31\nd = 6\nparticipation_rate = 0.8\n"
-            f"dropout_rate = 0.1\nworkers = {workers}\n"
-        )
-        config = tmp_path / f"w{workers}.conf"
-        config.write_text(config_text, encoding="utf-8")
-        runs = []
-        for attempt in ("a", "b"):
-            out = tmp_path / f"w{workers}{attempt}"
-            assert main(["run", "--config", str(config), "--out", str(out)]) == 0
-            runs.append((next(out.iterdir()) / "metrics.csv").read_bytes())
-        assert runs[0] == runs[1], f"workers={workers} not reproducible"
-        blobs[workers] = runs[0]
+    cases = {
+        "fral_cse": "algorithm = fral_cse\n",
+        "fedprox": "algorithm = fedprox\nmu = 0.1\nlocal_epochs = 3\n",
+    }
+    ok = True
+    for name, algorithm_text in cases.items():
+        blobs = {}
+        for workers in (1, 8):
+            config_text = (
+                algorithm_text + "clients = 5\nsamples_per_client = 200\n"
+                "rounds = 10\nseed = 31\nd = 6\nparticipation_rate = 0.8\n"
+                f"dropout_rate = 0.1\nworkers = {workers}\n"
+            )
+            config = tmp_path / f"{name}-w{workers}.conf"
+            config.write_text(config_text, encoding="utf-8")
+            runs = []
+            for attempt in ("a", "b"):
+                out = tmp_path / f"{name}-w{workers}{attempt}"
+                assert main(["run", "--config", str(config), "--out", str(out)]) == 0
+                runs.append((next(out.iterdir()) / "metrics.csv").read_bytes())
+            assert runs[0] == runs[1], f"{name} workers={workers} not reproducible"
+            blobs[workers] = runs[0]
+        ok = ok and blobs[1] == blobs[8]
     elapsed = time.perf_counter() - start
-    ok = blobs[1] == blobs[8]
-    report(8, "byte-identical runs across workers", ok, elapsed)
+    report(8, "byte-identical runs across workers", ok, elapsed, "fral_cse, fedprox")
     assert ok
 
 

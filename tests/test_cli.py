@@ -9,6 +9,7 @@ import riskfed
 from riskfed.cli import main, parse_config, resolved_config_text
 from riskfed.data import generate_synthetic, write_csv
 from riskfed.errors import ConfigurationError
+from riskfed.federation import ExperimentConfig
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -28,11 +29,17 @@ def write_config(tmp_path, text=MINIMAL, name="exp.conf"):
     return path
 
 
-def run_cli(*args):
+def run_cli(*args, env_vars=None):
     """The riskfed CLI in a fresh interpreter, importing the riskfed under
-    test, with Python's default warning filters."""
+    test, with Python's default warning filters; env_vars sets variables,
+    or unsets those given as None."""
     env = dict(os.environ)
     env.pop("PYTHONWARNINGS", None)
+    for name, value in (env_vars or {}).items():
+        if value is None:
+            env.pop(name, None)
+        else:
+            env[name] = value
     package_root = str(Path(riskfed.__file__).resolve().parent.parent)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (package_root, env.get("PYTHONPATH")) if p
@@ -86,7 +93,7 @@ class TestParseConfig:
     @pytest.mark.parametrize("key, value", [
         ("participation_rate", "0.0"), ("dropout_rate", "1.0"), ("clients", "0"),
         ("d", "1"), ("num_sectors", "0"), ("signal", "0"), ("alpha", "0"),
-        ("epsilon", "-1"), ("train_fraction", "1.0"),
+        ("epsilon", "-1"), ("train_fraction", "1.0"), ("workers", "0"),
         *[(key, "inf") for key in ("signal", "alpha", "epsilon", "c", "local_lr",
                                    "mu")],
     ])
@@ -132,6 +139,17 @@ class TestParseConfig:
         with pytest.raises(ConfigurationError, match="duplicate"):
             parse_config(path)
 
+    def test_workers_default_does_not_follow_the_host(self, monkeypatch):
+        monkeypatch.setattr(os, "cpu_count", lambda: 64)
+        cfg = ExperimentConfig(algorithm="fral_cse", clients=3,
+                               samples_per_client=40, rounds=2, seed=7)
+        assert cfg.workers == 1
+        assert "workers = 1" in resolved_config_text(cfg).splitlines()
+
+    def test_workers_accepted_and_printed(self, tmp_path):
+        cfg = parse_config(write_config(tmp_path, MINIMAL + "workers = 8\n"))
+        assert "workers = 8" in resolved_config_text(cfg).splitlines()
+
     def test_resolved_text_round_trips(self, tmp_path):
         cfg = parse_config(write_config(tmp_path))
         resolved = write_config(tmp_path, resolved_config_text(cfg), "resolved.conf")
@@ -149,6 +167,25 @@ class TestMainRun:
         names = sorted(p.name for p in run_dirs[0].iterdir())
         assert names == ["metrics.csv", "partition.csv", "resolved_config.txt",
                          "weights.csv"]
+
+    def test_bytes_do_not_depend_on_blas_threads(self, tmp_path):
+        # unpinned, OpenBLAS at 2 threads or its default summed this
+        # config's products in another order than at 1 thread
+        config = write_config(tmp_path, (
+            "algorithm = fral_cse\nclients = 10\nsamples_per_client = 500\n"
+            "d = 130\nrounds = 3\nseed = 1\nnum_sectors = 1\nsignal = 3.0\n"
+            "alpha = 10\nepsilon = 2.0\n"))
+        artifacts = {}
+        for threads in ("2", "1", None):
+            out = tmp_path / f"threads-{threads}"
+            proc = run_cli("run", "--config", str(config), "--out", str(out),
+                           env_vars={"OPENBLAS_NUM_THREADS": threads,
+                                     "GOTO_NUM_THREADS": None, "OMP_NUM_THREADS": None})
+            assert proc.returncode == 0, proc.stderr
+            run_dir = next(out.iterdir())
+            artifacts[threads] = [(run_dir / name).read_bytes()
+                                  for name in ("metrics.csv", "weights.csv")]
+        assert artifacts["2"] == artifacts["1"] == artifacts[None]
 
     def test_run_twice_identical_metrics(self, tmp_path):
         config = write_config(tmp_path)
@@ -233,7 +270,7 @@ class TestMainRun:
         # the quickstart as fedavg: w @ w and the step norm overflow first
         ("algorithm = fedavg\nlocal_lr = 1e6\n",
          "round 26: train loss is not finite (inf)"),
-        # local training on two threads overflows inside the pool
+        # local training overflows; workers = 2 is accepted and changes nothing
         ("algorithm = fedprox\nmu = 0.5\nlocal_lr = 1e150\nlocal_epochs = 5\n"
          "workers = 2\n",
          "round 1: weights are not finite after the update"),

@@ -259,7 +259,7 @@ class TestRunExperiment:
         ("fedprox", {"mu": 0.1, "local_epochs": 3}),
     ], ids=["fral_cse", "fedavg", "fedprox"])
     def test_deterministic_metrics_bytes(self, tmp_path, algorithm, extra):
-        # the client thread pool runs only the fedavg/fedprox local training
+        # workers is accepted and has no effect: clients train in one loop
         cfg_kw = dict(algorithm=algorithm, clients=5, samples_per_client=60,
                       rounds=6, seed=11, d=4, dropout_rate=0.1,
                       participation_rate=0.8, **extra)
