@@ -265,21 +265,26 @@ def build_data_and_plan(config: ExperimentConfig):
     return data, plan
 
 
+def client_cuts(plan: PartitionPlan, fraction: float) -> list:
+    """Each client's temporal split point; a split that leaves a side
+    empty is a ConfigurationError naming the first such client."""
+    cuts = []
+    for cid, n in enumerate(plan.sizes().tolist()):
+        try:
+            cuts.append(split_point(n, fraction))
+        except ConfigurationError as exc:
+            raise ConfigurationError(f"client {cid}: {exc}") from None
+    return cuts
+
+
 def build_clients(config: ExperimentConfig):
     """Materialize data, partition, and the store of per-client temporal
     splits; the store iterates over the clients in id order."""
     data, plan = build_data_and_plan(config)
-    cuts = []
-    for cid, idx in enumerate(plan.assignments):
-        try:
-            cuts.append(split_point(len(idx), config.train_fraction))
-        except ConfigurationError as exc:
-            raise ConfigurationError(f"client {cid}: {exc}") from None
-    store = ClientStore.gather(
-        data,
-        [idx[:cut] for idx, cut in zip(plan.assignments, cuts)],
-        [idx[cut:] for idx, cut in zip(plan.assignments, cuts)],
-    )
+    cuts = client_cuts(plan, config.train_fraction)
+    records = plan.records()
+    store = ClientStore.gather(data, [idx[:cut] for idx, cut in zip(records, cuts)],
+                               [idx[cut:] for idx, cut in zip(records, cuts)])
     return data, plan, store
 
 

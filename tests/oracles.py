@@ -112,3 +112,46 @@ def hinge_surrogate(risks, q: float) -> float:
     """Mean positive part of (risk - q); always nonnegative."""
     risks = _as_risks(risks)
     return float(np.sum(np.maximum(0.0, risks - q))) / risks.size
+
+
+def exdir_plan(sectors, num_clients: int, labels_per_client: int, alpha: float,
+               seed: int):
+    """The two-stage sector/Dirichlet partition replayed from its
+    definition: each client's ascending record indices, or None when no
+    plan exists.
+
+    The g distinct sectors, ascending, are the groups. A generator seeded
+    with seed first permutes the groups; client k holds the groups at
+    positions (k*C + t) mod g of that permutation, t < C. Then group by
+    group, in ascending order, one Dirichlet(alpha) draw over the group's
+    holders (ascending) gives each a share; the group's records, in
+    temporal order, are cut at the floor of each cumulative share times
+    the group's size, and the last holder takes the remainder. No plan
+    exists when C exceeds g, when K*C < g, or when a client gets nothing.
+    """
+    sectors = [int(s) for s in sectors]
+    groups = sorted(set(sectors))
+    g = len(groups)
+    if labels_per_client > g or num_clients * labels_per_client < g:
+        return None
+    rng = np.random.default_rng(seed)
+    order = rng.permutation(g)
+    holders = [[] for _ in range(g)]
+    for k in range(num_clients):
+        for t in range(labels_per_client):
+            holders[int(order[(k * labels_per_client + t) % g])].append(k)
+    plan = [[] for _ in range(num_clients)]
+    for sector, clients in zip(groups, holders):
+        records = [i for i, s in enumerate(sectors) if s == sector]
+        shares = rng.dirichlet([alpha] * len(clients)).tolist()
+        start, cumulative = 0, 0.0
+        for k, share in zip(clients, shares):
+            cumulative += share
+            stop = int(np.floor(cumulative * len(records)))
+            if k == clients[-1]:
+                stop = len(records)
+            plan[k] += records[start:stop]
+            start = stop
+    if not all(plan):
+        return None
+    return [sorted(records) for records in plan]

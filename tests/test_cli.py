@@ -350,6 +350,29 @@ class TestMainPartitionReport:
         assert lines[0] == "client_id,record_index"
         assert len(lines) == 1 + 3 * 40
 
+    def test_split_check_of_run_applies(self, tmp_path, capsys):
+        text = ("algorithm = fral_cse\nclients = 4\nsamples_per_client = 1\n"
+                "rounds = 1\nseed = 1\nd = 4\nnum_sectors = 1\nalpha = 100\n")
+        config = write_config(tmp_path, text)
+        error = "error: client 0: split of 1 records at fraction 0.8 leaves an empty side\n"
+        assert main(["partition-report", "--config", str(config)]) == 2
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", error)
+        assert main(["run", "--config", str(config), "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err == error
+
+    @pytest.mark.parametrize("keys, error", [
+        ("num_sectors = 2\nC = 3\n", "C must lie in [1, 2], got 3"),
+        ("num_sectors = 3\n",
+         "C = 1 with 2 clients cannot cover 3 sector groups; raise C or clients"),
+    ], ids=["above_group_count", "coverage"])
+    def test_partition_errors_name_c(self, tmp_path, capsys, keys, error):
+        text = ("algorithm = fral_cse\nclients = 2\nsamples_per_client = 50\n"
+                "rounds = 1\nseed = 1\nd = 4\n" + keys)
+        config = write_config(tmp_path, text)
+        assert main(["partition-report", "--config", str(config)]) == 2
+        assert capsys.readouterr().err == f"error: {error}\n"
+
 
 class TestShippedConfigs:
     """The configs the README's commands name stay valid under the schema."""

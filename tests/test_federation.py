@@ -318,7 +318,7 @@ class TestBuildClients:
                      dirichlet_alpha=50.0)
         data, plan, store = build_clients(cfg)
         assert [c.client_id for c in store] == list(range(7))
-        for client, idx in zip(store, plan.assignments):
+        for client, idx in zip(store, plan.records()):
             train, test = temporal_split(data.subset(idx), cfg.train_fraction)
             for got, want in ((client.train, train), (client.test, test)):
                 np.testing.assert_array_equal(got.features, want.features)

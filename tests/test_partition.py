@@ -5,14 +5,10 @@ from hypothesis import strategies as st
 
 from riskfed.data import generate_synthetic
 from riskfed.errors import PartitionError
-from riskfed.partition import (
-    PartitionPlan,
-    exdir_partition,
-    validate_partition,
-    write_partition_csv,
-)
+from riskfed.partition import PartitionPlan, exdir_partition, write_partition_csv
 
 from conftest import make_dataset
+from oracles import exdir_plan
 
 
 def sectored_dataset(counts, seed=0):
@@ -30,54 +26,31 @@ class TestExdirPartition:
         data = sectored_dataset([6, 5, 4])
         plan = exdir_partition(data, num_clients=1, labels_per_client=3,
                                alpha=1.0, seed=0)
-        np.testing.assert_array_equal(plan.assignments[0], np.arange(15))
+        np.testing.assert_array_equal(plan.order(), np.arange(15))
+        np.testing.assert_array_equal(plan.sizes(), [15])
 
     def test_two_groups_two_clients_whole_group_each(self):
         data = sectored_dataset([8, 7])
         plan = exdir_partition(data, num_clients=2, labels_per_client=1,
                                alpha=1.0, seed=3)
-        owned_sectors = [set(data.sectors[idx]) for idx in plan.assignments]
+        owned_sectors = [set(data.sectors[idx]) for idx in plan.records()]
         assert sorted(len(s) for s in owned_sectors) == [1, 1]
         assert owned_sectors[0] != owned_sectors[1]
-        sizes = sorted(idx.size for idx in plan.assignments)
-        assert sizes == [7, 8]
+        assert sorted(plan.sizes().tolist()) == [7, 8]
 
     def test_seeded_redraw_oracle(self):
-        # replay the generator: permutation first, then one Dirichlet per group
+        # the replay: permutation first, then one Dirichlet per group
         data = sectored_dataset([40, 60], seed=1)
-        seed = 42
         plan = exdir_partition(data, num_clients=4, labels_per_client=1,
-                               alpha=1.0, seed=seed)
-
-        rng = np.random.default_rng(seed)
-        order = rng.permutation(2)
-        eligible = {int(s): [] for s in (0, 1)}
-        for client in range(4):
-            eligible[int(order[client % 2])].append(client)
-        for sector in (0, 1):
-            records = np.flatnonzero(data.sectors == sector)
-            clients = sorted(eligible[sector])
-            proportions = rng.dirichlet(np.full(len(clients), 1.0))
-            bounds = np.floor(np.cumsum(proportions) * records.size).astype(int)
-            bounds[-1] = records.size
-            start = 0
-            for client, stop in zip(clients, bounds):
-                np.testing.assert_array_equal(
-                    plan.assignments[client][data.sectors[plan.assignments[client]] == sector],
-                    records[start:stop],
-                )
-                start = stop
-
-        all_indices = np.concatenate(plan.assignments)
-        assert np.unique(all_indices).size == all_indices.size
-        assert set(all_indices) == set(range(len(data)))
+                               alpha=1.0, seed=42)
+        expected = exdir_plan(data.sectors, 4, 1, 1.0, 42)
+        assert [idx.tolist() for idx in plan.records()] == expected
 
     def test_deterministic(self):
         data = sectored_dataset([30, 30, 30])
         a = exdir_partition(data, 5, 1, 1.0, seed=7)
         b = exdir_partition(data, 5, 1, 1.0, seed=7)
-        for ia, ib in zip(a.assignments, b.assignments):
-            np.testing.assert_array_equal(ia, ib)
+        np.testing.assert_array_equal(a.owner, b.owner)
 
     def test_concentrated_alpha_equal_shares(self):
         data = sectored_dataset([100, 100], seed=2)
@@ -86,7 +59,7 @@ class TestExdirPartition:
         for sector in (0, 1):
             sizes = [
                 int(np.count_nonzero(data.sectors[idx] == sector))
-                for idx in plan.assignments
+                for idx in plan.records()
                 if np.any(data.sectors[idx] == sector)
             ]
             group_total = int(np.count_nonzero(data.sectors == sector))
@@ -96,7 +69,7 @@ class TestExdirPartition:
     def test_temporal_order_within_client(self):
         data = sectored_dataset([50, 50, 50], seed=3)
         plan = exdir_partition(data, 6, 2, 1.0, seed=13)
-        for idx in plan.assignments:
+        for idx in plan.records():
             assert np.all(np.diff(idx) > 0)
 
     def test_insufficient_coverage_rejected(self):
@@ -122,49 +95,39 @@ class TestExdirPartition:
 @given(st.lists(st.integers(0, 5), min_size=1, max_size=80), st.integers(1, 12),
        st.integers(1, 4), st.floats(0.01, 1e4), st.integers(0, 2**32 - 1))
 def test_partition_invariants(sectors, num_clients, labels_per_client, alpha, seed):
-    """Any plan returned is valid and gives each client at most C sectors."""
+    """Any plan returned puts every record on one client in range, leaves
+    no client empty, lists each client's records in temporal order, and
+    gives each client at most C sectors."""
     data = make_dataset(np.zeros((len(sectors), 2)), np.ones(len(sectors)), sectors)
     try:
         plan = exdir_partition(data, num_clients, labels_per_client, alpha, seed)
     except PartitionError:
         return
     assert plan.num_clients == num_clients
-    assert validate_partition(plan, data).ok
-    for idx in plan.assignments:
+    assert plan.owner.shape == (len(data),)
+    assert 0 <= plan.owner.min() and plan.owner.max() < num_clients
+    sizes = plan.sizes()
+    assert sizes.min() > 0 and sizes.sum() == len(data)
+    assert sorted(plan.order().tolist()) == list(range(len(data)))
+    for client, idx in enumerate(plan.records()):
+        assert np.all(plan.owner[idx] == client)
+        assert np.all(np.diff(idx) > 0)
         assert np.unique(data.sectors[idx]).size <= labels_per_client
 
 
-class TestValidatePartition:
-    def test_valid_plan_clean_report(self):
-        data = sectored_dataset([40, 40], seed=5)
-        plan = exdir_partition(data, 4, 1, 1.0, seed=17)
-        report = validate_partition(plan, data)
-        assert report.ok
-        assert sum(report.client_sizes) == len(data)
-
-    def test_duplicate_index_named(self):
-        data = sectored_dataset([10])
-        plan = PartitionPlan(assignments=(np.array([0, 1, 2]), np.array([2, 3, 4])))
-        report = validate_partition(plan, data)
-        assert any("index 2" in v for v in report.violations)
-
-    def test_incomplete_coverage_flagged(self):
-        data = sectored_dataset([10])
-        plan = PartitionPlan(assignments=(np.array([0, 1]), np.array([2, 3])))
-        report = validate_partition(plan, data)
-        assert any("covers 4 of 10" in v for v in report.violations)
-
-    def test_order_violation_flagged(self):
-        data = sectored_dataset([10])
-        plan = PartitionPlan(assignments=(np.array([1, 0]), np.arange(2, 10)))
-        report = validate_partition(plan, data)
-        assert any("temporal order" in v for v in report.violations)
-
-    def test_empty_client_flagged(self):
-        data = sectored_dataset([4])
-        plan = PartitionPlan(assignments=(np.arange(4), np.empty(0, dtype=np.int64)))
-        report = validate_partition(plan, data)
-        assert any("no records" in v for v in report.violations)
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.integers(-3, 5), min_size=1, max_size=120), st.integers(1, 30),
+       st.integers(1, 5), st.floats(0.01, 1e4), st.integers(0, 2**32 - 1))
+def test_plan_equals_replay_oracle(sectors, num_clients, labels_per_client, alpha, seed):
+    """exdir_partition gives the replayed plan client for client, or both
+    find that no plan exists."""
+    data = make_dataset(np.zeros((len(sectors), 2)), np.ones(len(sectors)), sectors)
+    try:
+        plan = exdir_partition(data, num_clients, labels_per_client, alpha, seed)
+        got = [idx.tolist() for idx in plan.records()]
+    except PartitionError:
+        got = None
+    assert got == exdir_plan(sectors, num_clients, labels_per_client, alpha, seed)
 
 
 def test_partition_csv_export(tmp_path):
@@ -177,3 +140,13 @@ def test_partition_csv_export(tmp_path):
     assert len(lines) == 1 + len(data)
     seen = [int(line.split(",")[1]) for line in lines[1:]]
     assert sorted(seen) == list(range(len(data)))
+
+
+def test_partition_csv_bytes(tmp_path):
+    """The header, then client by client in id order, each client's
+    records ascending, every line ending in CRLF."""
+    plan = PartitionPlan(owner=np.array([2, 0, 2, 1, 0, 2]), num_clients=3)
+    path = tmp_path / "plan.csv"
+    write_partition_csv(plan, path)
+    assert path.read_bytes() == (b"client_id,record_index\r\n"
+                                 b"0,1\r\n0,4\r\n1,3\r\n2,0\r\n2,2\r\n2,5\r\n")
