@@ -91,6 +91,21 @@ class TestExdirPartition:
                             alpha=1.0, seed=0)
 
 
+class TestValidatePartition:
+    def test_valid_plan_clean_report(self):
+        # a fixed plan meets the definition: every record on one client,
+        # no client empty, each client's records ascending, sizes summing
+        data = sectored_dataset([40, 40], seed=5)
+        plan = exdir_partition(data, 4, 1, 1.0, seed=17)
+        sizes = plan.sizes()
+        assert sizes.size == 4 and sizes.min() > 0
+        assert sum(sizes) == len(data)
+        np.testing.assert_array_equal(np.sort(plan.order()), np.arange(len(data)))
+        for client, idx in enumerate(plan.records()):
+            assert np.all(plan.owner[idx] == client)
+            assert np.all(np.diff(idx) > 0)
+
+
 @settings(max_examples=150, deadline=None)
 @given(st.lists(st.integers(0, 5), min_size=1, max_size=80), st.integers(1, 12),
        st.integers(1, 4), st.floats(0.01, 1e4), st.integers(0, 2**32 - 1))
