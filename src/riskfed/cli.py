@@ -19,8 +19,8 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigurationError, ExperimentError
-from .federation import (CONFIG_SCHEMA, ExperimentConfig, build_data_and_plan,
-                         client_cuts, run_experiment)
+from .data import split_points
+from .federation import CONFIG_SCHEMA, ExperimentConfig, build_data_and_plan, run_experiment
 from .metrics import write_metrics_csv
 from .partition import write_partition_csv
 
@@ -28,11 +28,12 @@ _COMMENT = re.compile(r"(^|\s)#.*")
 
 
 def parse_config(path) -> ExperimentConfig:
-    """Parse and validate a flat key=value config file; a file that cannot
-    be found, read or decoded is a ConfigurationError naming it."""
+    """Parse and validate a flat key=value config file, skipping a UTF-8
+    byte-order mark; a file that cannot be found, read or decoded is a
+    ConfigurationError naming it."""
     path = Path(path)
     try:
-        text = path.read_text(encoding="utf-8")
+        text = path.read_text(encoding="utf-8-sig")
     except FileNotFoundError:
         raise ConfigurationError(f"config file not found: {path}") from None
     except (OSError, UnicodeDecodeError) as exc:
@@ -125,7 +126,7 @@ def _cmd_partition_report(args) -> int:
     config = parse_config(args.config)
     out_dir = _out_dir(args.out) if args.out else None
     data, plan = build_data_and_plan(config)
-    client_cuts(plan, config.train_fraction)  # the split check of run
+    split_points(plan.sizes(), config.train_fraction)  # the split check of run
     if out_dir is not None:
         out_dir.mkdir(parents=True, exist_ok=True)
         write_partition_csv(plan, out_dir / "partition.csv")

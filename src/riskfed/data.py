@@ -38,11 +38,7 @@ class LabeledDataset:
     def subset(self, indices) -> "LabeledDataset":
         """Row subset in the given index order."""
         idx = np.asarray(indices, dtype=np.int64)
-        return LabeledDataset(
-            np.ascontiguousarray(self.features[idx]),
-            self.labels[idx].copy(),
-            self.sectors[idx].copy(),
-        )
+        return LabeledDataset(self.features[idx], self.labels[idx], self.sectors[idx])
 
     def rows(self, start: int, stop: int) -> "LabeledDataset":
         """Rows start:stop as views of this dataset's arrays, not copies."""
@@ -88,11 +84,12 @@ def load_csv(path) -> LabeledDataset:
     Expected header: feature_0..feature_{d-1},label[,sector]. This is
     the only check of outside data: each row must have the header's cell
     count, finite numeric features, a label of exactly -1 or 1, and an
-    int64 sector (0 when absent). The first bad row, and a file that
-    cannot be opened or decoded, is a DataError naming the file.
+    int64 sector (0 when absent). A UTF-8 byte-order mark before the
+    header is skipped. The first bad row, and a file that cannot be opened
+    or decoded, is a DataError naming the file.
     """
     try:
-        with open(path, newline="", encoding="utf-8") as fh:
+        with open(path, newline="", encoding="utf-8-sig") as fh:
             feats, labels, sectors = _read_records(path, csv.reader(fh))
     except (OSError, UnicodeDecodeError, csv.Error) as exc:
         reason = getattr(exc, "strerror", None) or exc
@@ -162,15 +159,18 @@ def write_csv(data: LabeledDataset, path) -> None:
             writer.writerow(row)
 
 
-def split_point(n: int, fraction: float) -> int:
-    """Leading records that train: floor(fraction*n). A cut that leaves a
-    side empty, as any fraction outside (0, 1) does, is rejected."""
-    cut = int(np.floor(fraction * n))
-    if cut < 1 or cut >= n:
-        raise ConfigurationError(
-            f"split of {n} records at fraction {fraction} leaves an empty side"
-        )
-    return cut
+def split_points(sizes, fraction: float) -> np.ndarray:
+    """Leading records that train, per client: floor(fraction*n) of its n
+    records. A cut that leaves a side empty, as any fraction outside
+    (0, 1) does, is a ConfigurationError naming the first such client."""
+    sizes = np.asarray(sizes, dtype=np.int64)
+    cuts = np.floor(fraction * sizes)
+    bad = np.flatnonzero(~((1 <= cuts) & (cuts < sizes)))  # a NaN cut is bad too
+    if bad.size:
+        k = int(bad[0])
+        raise ConfigurationError(f"client {k}: split of {sizes[k]} records at "
+                                 f"fraction {fraction} leaves an empty side")
+    return cuts.astype(np.int64)
 
 
 def temporal_split(
@@ -179,5 +179,5 @@ def temporal_split(
     """(train, test): the first floor(fraction*n) records train, the rest
     test; no shuffling."""
     n = len(data)
-    cut = split_point(n, fraction)
+    cut = int(split_points([n], fraction)[0])
     return data.subset(np.arange(cut)), data.subset(np.arange(cut, n))

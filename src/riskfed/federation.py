@@ -25,7 +25,7 @@ import numpy as np
 from . import _blas, _kernels, sensitivity
 from ._pcg import first_uniforms
 # temporal_split stays a name here: perfbench/child.py wraps it by this name
-from .data import generate_synthetic, load_csv, split_point, temporal_split  # noqa: F401
+from .data import generate_synthetic, load_csv, split_points, temporal_split  # noqa: F401
 from .errors import ConfigurationError, ExperimentError, NumericalError
 from .metrics import RoundRecord, accuracy
 from .model import init_weights
@@ -265,27 +265,12 @@ def build_data_and_plan(config: ExperimentConfig):
     return data, plan
 
 
-def client_cuts(plan: PartitionPlan, fraction: float) -> list:
-    """Each client's temporal split point; a split that leaves a side
-    empty is a ConfigurationError naming the first such client."""
-    cuts = []
-    for cid, n in enumerate(plan.sizes().tolist()):
-        try:
-            cuts.append(split_point(n, fraction))
-        except ConfigurationError as exc:
-            raise ConfigurationError(f"client {cid}: {exc}") from None
-    return cuts
-
-
 def build_clients(config: ExperimentConfig):
     """Materialize data, partition, and the store of per-client temporal
     splits; the store iterates over the clients in id order."""
     data, plan = build_data_and_plan(config)
-    cuts = client_cuts(plan, config.train_fraction)
-    records = plan.records()
-    store = ClientStore.gather(data, [idx[:cut] for idx, cut in zip(records, cuts)],
-                               [idx[cut:] for idx, cut in zip(records, cuts)])
-    return data, plan, store
+    cuts = split_points(plan.sizes(), config.train_fraction)
+    return data, plan, ClientStore.gather(data, plan, cuts)
 
 
 def run_experiment(config: ExperimentConfig) -> ExperimentResult:

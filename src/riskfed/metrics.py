@@ -24,7 +24,7 @@ class RoundRecord:
 
 def accuracy(w: np.ndarray, data: LabeledDataset) -> float:
     """Fraction of samples with y * score strictly positive; ties count wrong.
-    A run's test set is never empty: split_point leaves each client a test row."""
+    A run's test set is never empty: split_points leaves each client a test row."""
     scores = _kernels.linear_scores(data.features, np.asarray(w, dtype=np.float64))
     return float(np.count_nonzero(data.labels * scores > 0.0)) / len(data)
 

@@ -23,6 +23,7 @@ import numpy as np
 
 from ._kernels import quantile_rank
 from .data import LabeledDataset
+from .partition import PartitionPlan
 
 
 @dataclass(frozen=True)
@@ -32,6 +33,12 @@ class ClientState:
     client_id: int
     train: LabeledDataset
     test: LabeledDataset
+
+
+def runs(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """The indices starts[i]:starts[i] + counts[i], run after run."""
+    offsets = np.cumsum(counts) - counts  # where each run goes
+    return np.repeat(starts - offsets, counts) + np.arange(counts.sum())
 
 
 @dataclass(frozen=True)
@@ -50,10 +57,8 @@ class TrainPass:
     def tail_rows(self, clients) -> np.ndarray:
         """Store rows of the given clients' tail-active rows, client by
         client in the given order, each client's rows ascending."""
-        starts, counts = self.active_starts[clients], self.active_counts[clients]
-        offsets = np.cumsum(counts) - counts  # where each client's rows go
-        return self.active_rows[np.repeat(starts - offsets, counts)
-                                + np.arange(counts.sum())]
+        return self.active_rows[runs(self.active_starts[clients],
+                                     self.active_counts[clients])]
 
 
 @dataclass(frozen=True)
@@ -79,25 +84,27 @@ class ClientStore:
     size_groups: tuple
 
     @classmethod
-    def gather(cls, data: LabeledDataset, train_parts, test_parts) -> "ClientStore":
-        """Client k trains on the records train_parts[k] of data and tests on
-        test_parts[k]; one gather per array, whose result is read-only."""
-        sizes = np.array([len(p) for p in train_parts], dtype=np.int64)
-        layout = np.argsort(sizes, kind="stable")  # client ids by (size, id)
-        train = data.subset(np.concatenate([train_parts[k] for k in layout.tolist()]))
-        test = data.subset(np.concatenate(test_parts))
+    def gather(cls, data: LabeledDataset, plan: PartitionPlan,
+               cuts: np.ndarray) -> "ClientStore":
+        """Client k trains on the first cuts[k] of its records in plan and
+        tests on the rest; one gather per array, whose result is read-only."""
+        order, sizes = plan.order(), plan.sizes()
+        firsts = np.cumsum(sizes) - sizes  # where each client's run of order starts
+        test_sizes = sizes - cuts
+        layout = np.argsort(cuts, kind="stable")  # client ids by (train size, id)
+        train = data.subset(order[runs(firsts[layout], cuts[layout])])
+        test = data.subset(order[runs(firsts + cuts, test_sizes)])
         for part in (train, test):
             for array in (part.features, part.labels, part.sectors):
                 array.setflags(write=False)
-        starts = np.empty_like(sizes)
-        starts[layout] = np.cumsum(sizes[layout]) - sizes[layout]
-        test_sizes = np.array([len(p) for p in test_parts], dtype=np.int64)
+        starts = np.empty_like(cuts)
+        starts[layout] = np.cumsum(cuts[layout]) - cuts[layout]
         groups = []
-        for n in np.unique(sizes).tolist():
-            ids = np.flatnonzero(sizes == n)
+        for n in np.unique(cuts).tolist():
+            ids = np.flatnonzero(cuts == n)
             a = int(starts[ids[0]])
             groups.append((n, ids, a, a + ids.size * n))
-        return cls(train=train, test=test, train_starts=starts, train_sizes=sizes,
+        return cls(train=train, test=test, train_starts=starts, train_sizes=cuts,
                    test_starts=np.cumsum(test_sizes) - test_sizes,
                    test_sizes=test_sizes, layout=layout, size_groups=tuple(groups))
 

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from riskfed.data import LabeledDataset
+from riskfed.partition import PartitionPlan
 from riskfed.store import ClientStore
 
 
@@ -23,9 +24,10 @@ def make_store(shards):
         labels=np.concatenate([p.labels for p in parts]),
         sectors=np.concatenate([p.sectors for p in parts]),
     )
-    bounds = np.cumsum([0] + [len(p) for p in parts])
-    index = [np.arange(a, b) for a, b in zip(bounds[:-1], bounds[1:])]
-    return ClientStore.gather(data, index[0::2], index[1::2])
+    sizes = [len(train) + len(test) for train, test in shards]
+    owner = np.repeat(np.arange(len(shards)), sizes)
+    cuts = np.array([len(train) for train, _ in shards], dtype=np.int64)
+    return ClientStore.gather(data, PartitionPlan(owner, len(shards)), cuts)
 
 
 @pytest.fixture

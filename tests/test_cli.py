@@ -197,6 +197,18 @@ class TestMainRun:
             blobs.append((run_dir / "metrics.csv").read_bytes())
         assert blobs[0] == blobs[1]
 
+    def test_byte_order_mark_config_runs(self, tmp_path):
+        # line 1 is a comment, as in configs/quickstart.conf
+        text = "# three clients\n" + MINIMAL
+        blobs = []
+        for name, head in (("plain.conf", b""), ("bom.conf", b"\xef\xbb\xbf")):
+            config = tmp_path / name
+            config.write_bytes(head + text.encode())
+            out = tmp_path / name.replace(".conf", "")
+            assert main(["run", "--config", str(config), "--out", str(out)]) == 0
+            blobs.append((next(out.iterdir()) / "metrics.csv").read_bytes())
+        assert blobs[0] == blobs[1]
+
     def test_missing_config_exit_code_two(self, tmp_path, capsys):
         code = main(["run", "--config", str(tmp_path / "nope.conf"),
                      "--out", str(tmp_path / "out")])

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,6 +9,7 @@ from riskfed.data import (
     LabeledDataset,
     generate_synthetic,
     load_csv,
+    split_points,
     temporal_split,
     write_csv,
 )
@@ -122,6 +125,16 @@ class TestCsvRoundTrip:
                                      rf"got '{sector}'"):
                 load_csv(path)
 
+    def test_byte_order_mark_skipped(self, tmp_path):
+        # Excel's "CSV UTF-8" starts the file with a byte-order mark
+        plain, bom = tmp_path / "plain.csv", tmp_path / "bom.csv"
+        write_csv(generate_synthetic(200, 2, 2, seed=3), plain)
+        bom.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+        want, got = load_csv(plain), load_csv(bom)
+        np.testing.assert_array_equal(got.features, want.features)
+        np.testing.assert_array_equal(got.labels, want.labels)
+        np.testing.assert_array_equal(got.sectors, want.sectors)
+
     def test_missing_header_rejected(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("1.0,2.0,1\n", encoding="utf-8")
@@ -216,6 +229,8 @@ class TestLabeledDataset:
         np.testing.assert_array_equal(view.sectors, data.sectors[4:9])
         picked = data.subset([7, 2, 2])
         assert not np.shares_memory(picked.features, data.features)
+        assert not np.shares_memory(picked.labels, data.labels)
+        assert not np.shares_memory(picked.sectors, data.sectors)
         assert picked.features.flags.c_contiguous
         np.testing.assert_array_equal(picked.features, data.features[[7, 2, 2]])
         np.testing.assert_array_equal(picked.sectors, data.sectors[[7, 2, 2]])
@@ -257,3 +272,39 @@ class TestTemporalSplit:
             temporal_split(self._sequential(2), 0.05)
         with pytest.raises(ConfigurationError):
             temporal_split(self._sequential(10), 1.0)
+
+
+@st.composite
+def split_cases(draw):
+    """Client sizes and a fraction in (0, 1). Half the fractions are m/n
+    for one client's n, whose product with n often lands an ulp below m,
+    as 0.29 * 100 = 28.999999999999996 does."""
+    sizes = draw(st.lists(st.integers(1, 10**6) | st.integers(1, 12), min_size=1,
+                          max_size=6))
+    n = draw(st.sampled_from(sizes))
+    if n > 1 and draw(st.booleans()):
+        return sizes, draw(st.integers(1, n - 1)) / n
+    return sizes, draw(st.floats(0, 1, exclude_min=True, exclude_max=True))
+
+
+@settings(max_examples=300, deadline=None)
+@given(split_cases())
+def test_split_points_floor_each_client_or_name_the_first_empty_side(case):
+    sizes, fraction = case
+    want = [math.floor(fraction * n) for n in sizes]
+    bad = [k for k, (n, cut) in enumerate(zip(sizes, want)) if not 1 <= cut < n]
+    if bad:
+        k = bad[0]
+        with pytest.raises(ConfigurationError) as info:
+            split_points(sizes, fraction)
+        assert str(info.value) == (f"client {k}: split of {sizes[k]} records at "
+                                   f"fraction {fraction} leaves an empty side")
+        return
+    cuts = split_points(sizes, fraction)
+    assert cuts.dtype == np.int64
+    assert cuts.tolist() == want
+
+
+def test_split_points_floor_below_an_integer():
+    assert 0.29 * 100 < 29
+    assert split_points([100, 200], 0.29).tolist() == [28, 57]

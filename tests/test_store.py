@@ -1,5 +1,6 @@
 """Property tests: the batched store evaluation and central system against
-the per-client kernels, and the vectorized dropout draws against numpy."""
+the per-client kernels, the store layout gathered from an owner array, and
+the vectorized dropout draws against numpy."""
 
 import numpy as np
 import pytest
@@ -9,7 +10,9 @@ from hypothesis import strategies as st
 from riskfed import _kernels
 from riskfed._pcg import first_uniforms
 from riskfed.objective import aggregate_gradient
+from riskfed.partition import PartitionPlan
 from riskfed.sensitivity import aggregate_sensitivity, client_report, tail_system
+from riskfed.store import ClientStore
 
 from conftest import make_dataset, make_store
 
@@ -115,6 +118,38 @@ def test_evaluate_equals_per_client_kernel(case):
     store, w, beta, c = case
     check_layout(store)
     check_evaluate(store, w, beta, c)
+
+
+@st.composite
+def owned_records(draw):
+    """Records with distinct features, an owner array that interleaves the
+    clients with their ids shuffled, and each client's cut in 1..n-1;
+    small sizes make clients of equal size and of equal cut common."""
+    sizes = draw(st.lists(st.integers(2, 5) | st.integers(2, 40), min_size=1,
+                          max_size=10))
+    cuts = np.array([draw(st.integers(1, n - 1)) for n in sizes], dtype=np.int64)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    owner = rng.permutation(np.repeat(np.arange(len(sizes)), sizes))
+    d = draw(st.integers(1, 4))
+    data = make_dataset(rng.standard_normal((owner.size, d)),
+                        rng.choice([-1.0, 1.0], owner.size), rng.integers(0, 9, owner.size))
+    return data, PartitionPlan(owner, len(sizes)), cuts
+
+
+@SETTINGS
+@given(owned_records())
+def test_gather_splits_each_clients_records_in_order(case):
+    data, plan, cuts = case
+    store = ClientStore.gather(data, plan, cuts)
+    assert len(store) == plan.num_clients
+    check_layout(store)
+    for k in range(plan.num_clients):
+        mine = np.flatnonzero(plan.owner == k)  # client k's records, ascending
+        client = store[k]
+        for shard, idx in ((client.train, mine[:cuts[k]]), (client.test, mine[cuts[k]:])):
+            np.testing.assert_array_equal(shard.features, data.features[idx])
+            np.testing.assert_array_equal(shard.labels, data.labels[idx])
+            np.testing.assert_array_equal(shard.sectors, data.sectors[idx])
 
 
 @pytest.mark.parametrize("beta", [0.05, 0.5, 0.95])
