@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import csv
 import math
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,7 +22,7 @@ from .errors import ConfigurationError, DataError
 @dataclass(frozen=True)
 class LabeledDataset:
     """Ordered feature/label/sector arrays; row order is temporal. It
-    checks nothing: ``load_csv`` checks outside data row by row, and
+    checks nothing: ``load_csv`` checks every row of outside data, and
     ``generate_synthetic`` makes valid rows by construction."""
 
     features: np.ndarray  # (n, d) float64, C-contiguous
@@ -85,9 +86,14 @@ def load_csv(path) -> LabeledDataset:
     the only check of outside data: each row must have the header's cell
     count, finite numeric features, a label of exactly -1 or 1, and an
     int64 sector (0 when absent). A UTF-8 byte-order mark before the
-    header is skipped. The first bad row, and a file that cannot be opened
-    or decoded, is a DataError naming the file.
+    header is skipped. The body is parsed in one ``np.loadtxt`` pass; a
+    file that pass declines is read row by row, and that loop names the
+    first bad row, or a file that cannot be opened or decoded, in a
+    DataError naming the file.
     """
+    data = _load_whole(path)
+    if data is not None:
+        return data
     try:
         with open(path, newline="", encoding="utf-8-sig") as fh:
             feats, labels, sectors = _read_records(path, csv.reader(fh))
@@ -103,25 +109,96 @@ def load_csv(path) -> LabeledDataset:
     )
 
 
+# The only bytes _load_whole accepts after the header. In them csv and
+# loadtxt split lines (at \r, \n or \r\n) and cells alike, and loadtxt
+# parses a number as float() and int() do; quotes, spaces, NUL, letters
+# other than the exponent and anything outside ASCII are left to the loop.
+_WHOLE_BODY_BYTES = b"0123456789+-.eE,\r\n"
+
+
+def _load_whole(path) -> LabeledDataset | None:
+    """The file parsed in one np.loadtxt call, or None where the row loop
+    could read it otherwise: a bad or unusual file, which the loop then
+    reads, rejects or names the first bad row of."""
+    try:
+        with open(path, newline="", encoding="utf-8-sig") as fh, \
+                warnings.catch_warnings():
+            # loadtxt warns on a body with no rows, and older numpy read an
+            # int64 cell such as "2.5" as 2 with a DeprecationWarning
+            warnings.simplefilter("error")
+            # a quoted header cell that runs on past this line ends in a
+            # body line, which holds a quote and so is declined
+            shape = _header_shape(next(csv.reader([fh.readline()])))
+            if shape is None:
+                return None
+            d, has_sector = shape
+            # a label wider than "-1" stays wider than 2 characters in "U3"
+            fields = [("features", np.float64, (d,)), ("label", "U3")]
+            fields += [("sector", np.int64)] * has_sector
+            table = np.loadtxt(_whole_body_lines(fh), dtype=fields, delimiter=",",
+                               comments=None, ndmin=1)
+    except (OSError, UnicodeDecodeError, csv.Error, ValueError, Warning):
+        return None
+    features, labels = table["features"], table["label"]
+    if not (np.isfinite(features).all() and np.isin(labels, ("-1", "1")).all()):
+        return None
+    return LabeledDataset(
+        features=np.ascontiguousarray(features),
+        labels=np.where(labels == "1", 1.0, -1.0),
+        sectors=(np.ascontiguousarray(table["sector"]) if has_sector
+                 else np.zeros(len(table), dtype=np.int64)),
+    )
+
+
+def _whole_body_lines(lines):
+    """The body lines as read, raising ValueError at the first one that
+    _load_whole leaves to the row loop."""
+    limit = csv.field_size_limit()
+    for line in lines:
+        # loadtxt skips a blank line, which the loop rejects, and has no cap
+        # on a cell, where csv has one
+        if line[0] in "\r\n" or len(line) > limit \
+                or line.encode().translate(None, _WHOLE_BODY_BYTES):
+            raise ValueError("left to the row loop")
+        yield line
+
+
+def _header_shape(header) -> tuple[int, bool] | None:
+    """(d, whether a sector column follows the label) for a valid header row."""
+    header = [h.strip() for h in header]
+    has_sector = bool(header) and header[-1] == "sector"
+    d = len(header) - (2 if has_sector else 1)
+    if d < 1 or header != _feature_header(d) + ["label"] + ["sector"] * has_sector:
+        return None
+    return d, has_sector
+
+
+def _bad_number(cell: str) -> bool:
+    """A cell float() or int() would read but the CSV grammar does not
+    allow: digits are ASCII, with no _ between them."""
+    return "_" in cell or not cell.isascii()
+
+
 def _read_records(path, reader):
     """Header check, then each row's features, label and sector as lists."""
     try:
         header = next(reader)
     except StopIteration:
         raise DataError(f"{path}: empty file, header row required") from None
-    header = [h.strip() for h in header]
-    has_sector = header and header[-1] == "sector"
-    ncols = len(header) - (2 if has_sector else 1)
-    if ncols < 1 or header[: ncols + 1] != _feature_header(ncols) + ["label"]:
+    shape = _header_shape(header)
+    if shape is None:
         raise DataError(
             f"{path}: header must be feature_0..feature_{{d-1}},label[,sector]"
         )
+    ncols, has_sector = shape
     feats, labels, sectors = [], [], []
     for rownum, row in enumerate(reader, start=2):
         if len(row) != len(header):
             raise DataError(f"{path}: row {rownum} has {len(row)} cells, "
                             f"expected {len(header)}")
         try:
+            if _bad_number("".join(row[:ncols])):
+                raise ValueError
             values = list(map(float, row[:ncols]))
         except ValueError:
             raise DataError(f"{path}: row {rownum} has a non-numeric cell") from None
@@ -133,6 +210,8 @@ def _read_records(path, reader):
                 f"{path}: row {rownum} label must be -1 or 1, got {label_field!r}"
             )
         try:
+            if has_sector and _bad_number(row[ncols + 1]):
+                raise ValueError
             sector = int(row[ncols + 1]) if has_sector else 0
             if not -2**63 <= sector < 2**63:  # fits the int64 sectors array
                 raise ValueError

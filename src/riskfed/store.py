@@ -3,7 +3,7 @@
 The train rows of every client sit in one C-contiguous array, ordered by
 (train size, client id), so the clients of one size form one contiguous
 (clients, n, d) block; the test rows sit in another, client by client in
-id order. The rows are valid as read or made: ``load_csv`` checks each
+id order. The rows are valid as read or made: ``load_csv`` checks every
 row of a CSV, and synthetic rows are valid by construction. The arrays
 are read-only, so nothing can write a bad value afterwards. Client k's
 shards are views of its row ranges, built when the client is accessed,

@@ -1,10 +1,14 @@
+import csv
 import math
+import re
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import riskfed.data
 from riskfed.data import (
     LabeledDataset,
     generate_synthetic,
@@ -85,6 +89,15 @@ class TestCsvRoundTrip:
         with pytest.raises(DataError, match="row 2"):
             load_csv(path)
 
+    @pytest.mark.parametrize("label", ["-1\x00", "1\x00\x00", "-12", "11"])
+    def test_label_that_starts_like_a_good_one_names_row(self, tmp_path, label):
+        # numpy drops trailing NULs from a text field and cuts what is too wide
+        path = tmp_path / "bad.csv"
+        path.write_text(f"feature_0,label\n0.5,1\n0.5,{label}\n", encoding="utf-8")
+        with pytest.raises(DataError, match=rf"bad\.csv: row 3 label must be -1 or 1, "
+                                            rf"got {re.escape(repr(label))}"):
+            load_csv(path)
+
     def test_non_numeric_cell_names_row(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text(
@@ -99,7 +112,7 @@ class TestCsvRoundTrip:
         with pytest.raises(DataError, match="row 2"):
             load_csv(path)
 
-    @pytest.mark.parametrize("cell", ["inf", "-inf"])
+    @pytest.mark.parametrize("cell", ["inf", "-inf", "1e400", "-1e309"])
     def test_infinite_cell_names_row(self, tmp_path, cell):
         path = tmp_path / "bad.csv"
         path.write_text(f"feature_0,feature_1,label\n1.0,2.0,1\n1.0,{cell},1\n",
@@ -135,6 +148,29 @@ class TestCsvRoundTrip:
         np.testing.assert_array_equal(got.labels, want.labels)
         np.testing.assert_array_equal(got.sectors, want.sectors)
 
+    def test_cell_past_the_csv_field_limit_cannot_be_read(self, tmp_path):
+        # the cell reads as 1.0, but csv caps a cell at field_size_limit()
+        path = tmp_path / "bad.csv"
+        path.write_text("feature_0,label\n" + "0" * csv.field_size_limit() + "1,1\n",
+                        encoding="utf-8")
+        with pytest.raises(DataError, match=r"bad\.csv: cannot read: field larger"):
+            load_csv(path)
+
+    @pytest.mark.parametrize("text, reason", [
+        ("", "empty file, header row required"),
+        ("feature_0,label\r\n", "no data rows"),
+    ])
+    def test_file_without_rows_rejected_without_a_warning(self, tmp_path, text, reason):
+        # as a run sees it, with warnings shown rather than raised: loadtxt
+        # warns on a body with no rows
+        path = tmp_path / "bad.csv"
+        path.write_text(text, encoding="utf-8")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(DataError, match=rf"bad\.csv: {reason}$"):
+                load_csv(path)
+        assert caught == []
+
     def test_missing_header_rejected(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("1.0,2.0,1\n", encoding="utf-8")
@@ -160,48 +196,64 @@ class TestCsvRoundTrip:
 
 
 # load_csv is the one check of outside data: a good row, or a row with one
-# fault of a kind the rules name
+# fault of a kind the rules name. float() and int() would read "1_0.5" as
+# 10.5, "\u0663" (Arabic-Indic three) as 3 and "\xa01.5" as 1.5, but the
+# grammar allows only ASCII digits with no "_". numpy drops the NUL of
+# "-1\x00" from a text field, and a field too narrow would cut "-12".
 GOOD_CELLS = st.floats(allow_nan=False, allow_infinity=False).map(repr)
 FAULTS = {
-    "cell": ["nan", "inf", "-inf", "1e400", "x", ""],
-    "label": ["0", "+1", "1.0"],
-    "sector": ["x", "2.5", "99999999999999999999"],
+    "cell": ["nan", "inf", "-inf", "1e400", "x", "", "1_0.5", "\u0663", "\xa01.5"],
+    "label": ["0", "+1", "1.0", "-12", "-1\x00"],
+    "sector": ["x", "2.5", "99999999999999999999", "3_0", "\u0663"],
 }
 
 
 @st.composite
 def csv_rows(draw):
-    """d, whether a sector column is present, the data rows as cell lists,
-    and the numbers of the rows that hold a fault (the header is row 1)."""
+    """d, whether a sector column is present, the data rows as the cells csv
+    reads, the file's text, and the numbers of the rows that hold a fault
+    (the header is row 1). In some files labels and sectors are padded with
+    spaces, and in some cells are quoted, which the rules allow; a blank
+    line is a row of no cells and a trailing comma adds an empty one."""
     d = draw(st.integers(1, 3))
     has_sector = draw(st.booleans())
-    kinds = [None, "cell", "label", "short"] + ["sector"] * has_sector
+    kinds = [None, "cell", "label", "short", "blank", "trailing comma"]
+    kinds += ["sector"] * has_sector
+    labels, sectors = ["-1", "1"], ["0", "7", "-2", "+3"]
+    if draw(st.booleans()):
+        labels, sectors = labels + [" 1", "-1 "], sectors + [" 7", "+3 "]
     rows, bad = [], []
     for rownum in range(2, 2 + draw(st.integers(1, 4))):
         row = draw(st.lists(GOOD_CELLS, min_size=d, max_size=d))
-        row.append(draw(st.sampled_from(["-1", "1"])))
+        row.append(draw(st.sampled_from(labels)))
         if has_sector:
-            row.append(draw(st.sampled_from(["0", "7", "-2"])))
+            row.append(draw(st.sampled_from(sectors)))
         kind = draw(st.sampled_from(kinds))
         if kind == "short":
             row.pop()
+        elif kind == "blank":
+            row = []
+        elif kind == "trailing comma":
+            row.append("")
         elif kind:
             at = {"cell": draw(st.integers(0, d - 1)), "label": d, "sector": d + 1}[kind]
             row[at] = draw(st.sampled_from(FAULTS[kind]))
         if kind:
             bad.append(rownum)
         rows.append(row)
-    return d, has_sector, rows, bad
+    header = [f"feature_{j}" for j in range(d)] + ["label"] + ["sector"] * has_sector
+    quoted = st.sampled_from(['"{}"', "{}"] if draw(st.booleans()) else ["{}"])
+    lines = [",".join(draw(quoted).format(c) for c in r) for r in [header] + rows]
+    eol = draw(st.sampled_from(["\n", "\r\n"]))
+    return d, has_sector, rows, eol.join(lines) + eol, bad
 
 
 @settings(max_examples=300, deadline=None)
 @given(csv_rows())
 def test_load_csv_returns_valid_rows_or_names_the_first_bad_one(tmp_path_factory, case):
-    d, has_sector, rows, bad = case
+    d, has_sector, rows, text, bad = case
     path = tmp_path_factory.mktemp("csv") / "data.csv"
-    header = [f"feature_{j}" for j in range(d)] + ["label"] + ["sector"] * has_sector
-    path.write_text("\n".join(",".join(r) for r in [header] + rows) + "\n",
-                    encoding="utf-8")
+    path.write_bytes(text.encode("utf-8"))
     if bad:
         with pytest.raises(DataError) as info:
             load_csv(path)
@@ -212,12 +264,49 @@ def test_load_csv_returns_valid_rows_or_names_the_first_bad_one(tmp_path_factory
     assert data.features.shape == (n, d) and data.features.dtype == np.float64
     assert data.features.flags.c_contiguous
     assert np.isfinite(data.features).all()
-    np.testing.assert_array_equal(data.features, [[float(c) for c in r[:d]] for r in rows])
+    # by bits: assert_array_equal holds -0.0 equal to 0.0
+    want = np.array([[float(c) for c in r[:d]] for r in rows])
+    np.testing.assert_array_equal(data.features.view(np.int64), want.view(np.int64))
     assert data.labels.shape == (n,) and data.labels.dtype == np.float64
     np.testing.assert_array_equal(data.labels, [float(r[d]) for r in rows])
     assert data.sectors.shape == (n,) and data.sectors.dtype == np.int64
     np.testing.assert_array_equal(
         data.sectors, [int(r[d + 1]) if has_sector else 0 for r in rows])
+
+
+def _write_six_decimals(data, path):
+    """data in the format of the benchmark's records: "\n" line ends and the
+    repr of each feature rounded to six decimals."""
+    features = np.rint(data.features * 1e6) / 1e6
+    header = [f"feature_{j}" for j in range(data.dim)] + ["label", "sector"]
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        fh.write(",".join(header) + "\n")
+        for row, y, s in zip(features.tolist(), data.labels.tolist(),
+                             data.sectors.tolist()):
+            fh.write(",".join(map(repr, row)) + f",{int(y)},{s}\n")
+
+
+@pytest.mark.parametrize("write", [write_csv, _write_six_decimals])
+def test_clean_file_skips_the_row_loop(tmp_path, monkeypatch, write):
+    # a one-pass parse that declined every file would pass every other test
+    path = tmp_path / "clean.csv"
+    write(generate_synthetic(1000, 6, 3, seed=17), path)
+
+    def row_loop(*args):
+        raise AssertionError("a clean file reached the row loop")
+
+    monkeypatch.setattr(riskfed.data, "_read_records", row_loop)
+    data = load_csv(path)
+    # the oracle: each cell of the file read by float() or int()
+    lines = path.read_text(encoding="utf-8").splitlines()[1:]
+    rows = [line.split(",") for line in lines]
+    features = np.array([[float(c) for c in r[:6]] for r in rows])
+    assert data.features.flags.c_contiguous and data.features.dtype == np.float64
+    np.testing.assert_array_equal(data.features.view(np.int64), features.view(np.int64))
+    assert data.labels.dtype == np.float64
+    np.testing.assert_array_equal(data.labels, [float(r[6]) for r in rows])
+    assert data.sectors.dtype == np.int64
+    np.testing.assert_array_equal(data.sectors, [int(r[7]) for r in rows])
 
 
 class TestLabeledDataset:
