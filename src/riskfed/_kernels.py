@@ -29,11 +29,7 @@ def quantile_rank(n: int, beta: float) -> int:
     divisions the empirical CDF uses, so the rank agrees exactly with
     min{alpha : cdf(alpha) >= beta} on the empirical grid.
     """
-    k = int(np.ceil(beta * n))
-    if k < 1:
-        k = 1
-    if k > n:
-        k = n
+    k = int(np.ceil(beta * n))  # in [1, n] for beta in (0, 1) and n >= 1
     while k > 1 and (k - 1) / n >= beta:
         k -= 1
     while k < n and k / n < beta:

@@ -23,7 +23,6 @@ _MIX_MULT_L = 0xCA01F9DD
 _MIX_MULT_R = 0x4973F715
 _XSHIFT = 16
 _MASK32 = 0xFFFFFFFF
-_MASK64 = 0xFFFFFFFFFFFFFFFF
 
 # PCG64 default 128-bit multiplier, high and low words
 _PCG_MULT = (0x2360ED051FC65DA4, 0x4385DF649FCCF645)

@@ -94,7 +94,10 @@ def _out_dir(out) -> Path:
     """--out as a path whose nearest existing part is a directory, so the
     artifacts can be written there once the work is done."""
     path = Path(out)
-    existing = next(p for p in (path, *path.parents) if p.exists())
+    try:
+        existing = next(p for p in (path, *path.parents) if p.exists())
+    except OSError as exc:  # such as a component longer than the system allows
+        raise ConfigurationError(f"--out {out}: {exc.strerror or exc}") from None
     if not existing.is_dir():
         raise ConfigurationError(f"--out {out}: {existing} is not a directory")
     return path

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import csv
 import math
+import string
 import warnings
 from dataclasses import dataclass
 
@@ -165,12 +166,18 @@ def _whole_body_lines(lines):
 
 def _header_shape(header) -> tuple[int, bool] | None:
     """(d, whether a sector column follows the label) for a valid header row."""
-    header = [h.strip() for h in header]
+    header = [_stripped(h) for h in header]
     has_sector = bool(header) and header[-1] == "sector"
     d = len(header) - (2 if has_sector else 1)
     if d < 1 or header != _feature_header(d) + ["label"] + ["sector"] * has_sector:
         return None
     return d, has_sector
+
+
+def _stripped(cell: str) -> str:
+    """A label or header cell read as float() reads a number cell: only
+    ASCII whitespace is stripped, so a non-ASCII space stays and fails."""
+    return cell.strip(string.whitespace)
 
 
 def _bad_number(cell: str) -> bool:
@@ -204,7 +211,7 @@ def _read_records(path, reader):
             raise DataError(f"{path}: row {rownum} has a non-numeric cell") from None
         if not all(map(math.isfinite, values)):
             raise DataError(f"{path}: row {rownum} has a non-finite cell")
-        label_field = row[ncols].strip()
+        label_field = _stripped(row[ncols])
         if label_field not in ("-1", "1"):
             raise DataError(
                 f"{path}: row {rownum} label must be -1 or 1, got {label_field!r}"

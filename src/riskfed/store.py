@@ -6,7 +6,7 @@ The train rows of every client sit in one C-contiguous array, ordered by
 id order. The rows are valid as read or made: ``load_csv`` checks every
 row of a CSV, and synthetic rows are valid by construction. The arrays
 are read-only, so nothing can write a bad value afterwards. Client k's
-shards are views of its row ranges, built when the client is accessed,
+shards are views of its row ranges, built as the store is iterated,
 so no row is held twice. ``ClientStore.evaluate`` scores every train row
 at one weight vector and returns each client's tail threshold,
 tail-active rows and local loss, plus the size-weighted train loss.
@@ -67,7 +67,8 @@ class ClientStore:
     ``train_starts[k]:train_starts[k] + train_sizes[k]`` of ``train`` and
     test rows ``test_starts[k]:test_starts[k] + test_sizes[k]`` of
     ``test``; ``layout`` lists the client ids in the order of their train
-    rows. ``store[k]`` builds client k's shards as views of those rows.
+    rows. Iterating the store builds each client's shards as views of
+    those rows.
 
     ``size_groups`` holds, per distinct train size n in increasing order,
     the ids of the clients of that size (ascending) and the train rows
@@ -116,11 +117,6 @@ class ClientStore:
         bounds = zip(self.train_starts.tolist(), self.train_sizes.tolist(),
                      self.test_starts.tolist(), self.test_sizes.tolist())
         return (self._client(cid, *b) for cid, b in enumerate(bounds))
-
-    def __getitem__(self, cid) -> ClientState:
-        cid = range(len(self))[cid]  # a negative id counts from the end
-        return self._client(cid, int(self.train_starts[cid]), int(self.train_sizes[cid]),
-                            int(self.test_starts[cid]), int(self.test_sizes[cid]))
 
     def _client(self, cid, a, n, b, m) -> ClientState:
         """Client cid with train rows a:a+n and test rows b:b+m."""

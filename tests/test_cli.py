@@ -1,3 +1,4 @@
+import errno
 import os
 import subprocess
 import sys
@@ -239,6 +240,15 @@ class TestMainRun:
         assert proc.returncode == 2
         assert proc.stderr == f"error: --out {out}: {out} is not a directory\n"
         assert out.read_text(encoding="utf-8") == "kept\n"
+
+    @pytest.mark.parametrize("command", ["run", "partition-report"])
+    def test_out_with_an_over_long_name_exit_code_two(self, tmp_path, command):
+        # the records do not exist: building the data first would exit 3
+        config = write_config(tmp_path, MINIMAL + f"data_csv = {tmp_path / 'no.csv'}\n")
+        out = tmp_path / ("o" * 300) / "runs"
+        proc = run_cli(command, "--config", str(config), "--out", str(out))
+        assert proc.returncode == 2
+        assert proc.stderr == f"error: --out {out}: {os.strerror(errno.ENAMETOOLONG)}\n"
 
     def test_bad_data_csv_exit_code_three(self, tmp_path):
         bad = tmp_path / "bad.csv"

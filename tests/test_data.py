@@ -89,9 +89,11 @@ class TestCsvRoundTrip:
         with pytest.raises(DataError, match="row 2"):
             load_csv(path)
 
-    @pytest.mark.parametrize("label", ["-1\x00", "1\x00\x00", "-12", "11"])
+    @pytest.mark.parametrize("label", ["-1\x00", "1\x00\x00", "-12", "11", "\xa01",
+                                       "-1\u2003", "\x1c1"])
     def test_label_that_starts_like_a_good_one_names_row(self, tmp_path, label):
-        # numpy drops trailing NULs from a text field and cuts what is too wide
+        # numpy drops trailing NULs from a text field and cuts what is too wide,
+        # and str.strip() would drop a non-ASCII space or a "\x1c"
         path = tmp_path / "bad.csv"
         path.write_text(f"feature_0,label\n0.5,1\n0.5,{label}\n", encoding="utf-8")
         with pytest.raises(DataError, match=rf"bad\.csv: row 3 label must be -1 or 1, "
@@ -171,6 +173,23 @@ class TestCsvRoundTrip:
                 load_csv(path)
         assert caught == []
 
+    @pytest.mark.parametrize("header", [
+        "feature_0\xa0,label", "feature_0,\u2003label", "feature_0,label,sector\xa0",
+        "feature_0,label\x1c"])
+    def test_header_padded_with_other_than_ascii_spaces_rejected(self, tmp_path, header):
+        # a header cell is read as a number cell is: only ASCII spaces pad it
+        path = tmp_path / "bad.csv"
+        path.write_text(f"{header}\n0.5,1\n", encoding="utf-8")
+        with pytest.raises(DataError, match=r"bad\.csv: header must be feature_0\.\."):
+            load_csv(path)
+
+    def test_header_padded_with_ascii_spaces_read(self, tmp_path):
+        path = tmp_path / "padded.csv"
+        path.write_text(" feature_0\t,label ,\vsector\n0.5,1,3\n", encoding="utf-8")
+        data = load_csv(path)
+        np.testing.assert_array_equal(data.features, [[0.5]])
+        np.testing.assert_array_equal(data.sectors, [3])
+
     def test_missing_header_rejected(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("1.0,2.0,1\n", encoding="utf-8")
@@ -198,12 +217,13 @@ class TestCsvRoundTrip:
 # load_csv is the one check of outside data: a good row, or a row with one
 # fault of a kind the rules name. float() and int() would read "1_0.5" as
 # 10.5, "\u0663" (Arabic-Indic three) as 3 and "\xa01.5" as 1.5, but the
-# grammar allows only ASCII digits with no "_". numpy drops the NUL of
+# grammar allows only ASCII digits with no "_"; str.strip() would read the
+# label "\xa01" as 1, but only ASCII spaces pad a cell. numpy drops the NUL of
 # "-1\x00" from a text field, and a field too narrow would cut "-12".
 GOOD_CELLS = st.floats(allow_nan=False, allow_infinity=False).map(repr)
 FAULTS = {
     "cell": ["nan", "inf", "-inf", "1e400", "x", "", "1_0.5", "\u0663", "\xa01.5"],
-    "label": ["0", "+1", "1.0", "-12", "-1\x00"],
+    "label": ["0", "+1", "1.0", "-12", "-1\x00", "\xa01", "-1\u2003"],
     "sector": ["x", "2.5", "99999999999999999999", "3_0", "\u0663"],
 }
 

@@ -1,5 +1,5 @@
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from riskfed import _kernels
@@ -26,6 +26,21 @@ class TestQuantileRank:
             assert k / n >= beta
             if k > 1:
                 assert (k - 1) / n < beta
+
+    # no clamp keeps ceil(beta*n) in [1, n]: it lies there for every beta in
+    # (0, 1), the range validate allows, down to the smallest subnormal and
+    # up to the largest double below 1
+    @given(st.integers(1, 2**40),
+           st.floats(0.0, 1.0, exclude_min=True, exclude_max=True))
+    @example(1, 5e-324)
+    @example(2**40, 5e-324)
+    @example(1, 1 - 2**-53)
+    @example(2**40, 1 - 2**-53)
+    def test_rank_in_range_for_every_beta_in_the_open_interval(self, n, beta):
+        k = _kernels.quantile_rank(n, beta)
+        assert 1 <= k <= n
+        assert k / n >= beta
+        assert (k - 1) / n < beta
 
     def test_consistent_with_empirical_cdf(self):
         rng = np.random.default_rng(4)

@@ -1,0 +1,67 @@
+"""Every name that src/riskfed defines is read somewhere: deleting code is
+progress when the outputs stay the same, so a name nothing reads goes.
+
+A module-level function, class or constant, or a method that is not a
+dunder, counts as read when another part of the package names it in
+code (not in a string or a comment, and not only by importing it), when
+a perfbench script names it (the benchmark wraps some functions by their
+name as a string), or when README.md names it as a public helper.
+"""
+
+import ast
+import re
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "riskfed"
+
+
+def definitions(tree):
+    """(qualified name, name, node, whether it is a method) for each name a
+    module defines."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield node.name, node.name, node, False
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for target in targets:
+                if isinstance(target, ast.Name):
+                    yield target.id, target.id, node, False
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    yield f"{node.name}.{item.name}", item.name, item, True
+
+
+def reads(tree):
+    """(name, line, whether as an attribute) for each name read in code."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            yield node.id, node.lineno, False
+        elif isinstance(node, ast.Attribute):
+            yield node.attr, node.lineno, True
+
+
+def unread_names():
+    modules = {path: ast.parse(path.read_text(encoding="utf-8"))
+               for path in sorted(SRC.glob("*.py"))}
+    uses = [(path, *use) for path, tree in modules.items() for use in reads(tree)]
+    outside = "\n".join(path.read_text(encoding="utf-8")
+                        for path in [*sorted((ROOT / "perfbench").glob("*.py")),
+                                     ROOT / "README.md"])
+    unread = []
+    for path, tree in modules.items():
+        for qualified, name, node, method in definitions(tree):
+            if name.startswith("__") and name.endswith("__"):
+                continue
+            read_in_src = any(
+                used == name and (attribute or not method)
+                and not (where == path and node.lineno <= line <= node.end_lineno)
+                for where, used, line, attribute in uses)
+            if not (read_in_src or re.search(rf"(?<!\w){re.escape(name)}(?!\w)", outside)):
+                unread.append(f"{path.stem}.{qualified}")
+    return unread
+
+
+def test_every_src_name_is_read():
+    assert unread_names() == []

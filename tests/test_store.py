@@ -95,7 +95,8 @@ def check_layout(store):
     rows stay client by client in id order, and every shard and block is a
     view of the store's arrays."""
     features = store.train.features
-    sizes = [len(client.train) for client in store]
+    clients = list(store)
+    sizes = [len(client.train) for client in clients]
     np.testing.assert_array_equal(store.train_sizes, sizes)
     assert [n for n, *_ in store.size_groups] == sorted(set(sizes))
     for n, ids, a, b in store.size_groups:
@@ -103,10 +104,10 @@ def check_layout(store):
         block = features[a:b].reshape(ids.size, n, features.shape[1])
         assert np.shares_memory(block, features)
         for i, k in enumerate(ids.tolist()):
-            view = store[k].train.features
+            view = clients[k].train.features
             assert np.shares_memory(view, features)
             assert view.__array_interface__ == block[i].__array_interface__
-    for client in store:
+    for client in clients:
         assert np.shares_memory(client.test.features, store.test.features)
     np.testing.assert_array_equal(
         np.concatenate([client.test.features for client in store]), store.test.features)
@@ -143,9 +144,8 @@ def test_gather_splits_each_clients_records_in_order(case):
     store = ClientStore.gather(data, plan, cuts)
     assert len(store) == plan.num_clients
     check_layout(store)
-    for k in range(plan.num_clients):
+    for k, client in enumerate(store):
         mine = np.flatnonzero(plan.owner == k)  # client k's records, ascending
-        client = store[k]
         for shard, idx in ((client.train, mine[:cuts[k]]), (client.test, mine[cuts[k]:])):
             np.testing.assert_array_equal(shard.features, data.features[idx])
             np.testing.assert_array_equal(shard.labels, data.labels[idx])
@@ -168,9 +168,9 @@ def test_evaluate_layout_cases(beta):
 def survivor_tail(store, w, beta, survivors):
     """Store rows and features of the survivors' tail-active rows, from the
     per-client kernel's risks and q, client by client in id order."""
-    rows, features = [], []
+    rows, features, clients = [], [], list(store)
     for k in survivors:
-        train = store[k].train
+        train = clients[k].train
         risks = -train.labels * _kernels.linear_scores(train.features, w)
         q = _kernels.client_eval(train.features, train.labels, w, beta, 0.0)[4]
         rows.append(store.train_starts[k] + np.flatnonzero(risks > q))
@@ -191,7 +191,8 @@ def test_tail_system_equals_aggregated_reports(case, data):
     np.testing.assert_array_equal(store.train.features[rows], want_features)
     n = int(store.train_sizes[survivors].sum())
     s, g = tail_system(w, store.train.features[rows], store.train.labels[rows], n, c)
-    reports = [client_report(w, store[k].train, beta, c) for k in survivors]
+    clients = list(store)
+    reports = [client_report(w, clients[k].train, beta, c) for k in survivors]
     np.testing.assert_allclose(g, aggregate_gradient(reports, n), rtol=0, atol=1e-12)
     np.testing.assert_allclose(s, aggregate_sensitivity(reports, c, n),
                                rtol=0, atol=1e-12)
