@@ -12,16 +12,6 @@ import numpy as np
 #: Name of the kernel implementation, recorded in benchmark results.
 BACKEND = "numpy"
 
-__all__ = [
-    "BACKEND",
-    "quantile_rank",
-    "linear_scores",
-    "local_loss_eval",
-    "client_eval",
-    "local_sgd",
-]
-
-
 def quantile_rank(n: int, beta: float) -> int:
     """Smallest 1-based rank k with k/n >= beta.
 

@@ -47,9 +47,11 @@ def parse_config(path) -> ExperimentConfig:
         if "=" not in line:
             raise ConfigurationError(f"{path}:{lineno}: expected 'key = value'")
         key, _, value = (part.strip() for part in line.partition("="))
+        if key == "workers":  # retired: read and ignored, so older configs parse
+            continue
         if key not in CONFIG_SCHEMA:
             raise ConfigurationError(f"{path}:{lineno}: unknown key {key!r}")
-        if key in values:
+        if key in lines:
             raise ConfigurationError(f"{path}:{lineno}: duplicate key {key!r}")
         attr, cast, _, _ = CONFIG_SCHEMA[key]
         try:
@@ -169,6 +171,9 @@ def main(argv=None) -> int:
     except ExperimentError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.exit_code
+    except MemoryError as exc:  # a config whose data cannot be allocated
+        print(f"error: not enough memory for this config: {exc}", file=sys.stderr)
+        return ConfigurationError.exit_code
 
 
 def entry_point() -> None:

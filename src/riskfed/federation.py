@@ -71,7 +71,6 @@ CONFIG_SCHEMA = {
     "local_epochs": ("local_epochs", int, lambda v: v >= 0, ">= 0"),
     "local_lr": ("local_lr", float, lambda v: v > 0, "> 0"),
     "mu": ("mu", float, lambda v: v >= 0, ">= 0"),
-    "workers": ("workers", int, lambda v: v >= 1, ">= 1"),
 }
 
 
@@ -99,7 +98,6 @@ class ExperimentConfig:
     local_epochs: int | None = None
     local_lr: float = 0.05
     mu: float = 0.0
-    workers: int = 1  # range-checked, then unused: clients train serially
 
     def __post_init__(self):
         if self.num_sectors is None:

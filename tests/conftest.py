@@ -1,6 +1,12 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import riskfed
 from riskfed.data import LabeledDataset
 from riskfed.partition import PartitionPlan
 from riskfed.store import ClientStore
@@ -28,6 +34,25 @@ def make_store(shards):
     owner = np.repeat(np.arange(len(shards)), sizes)
     cuts = np.array([len(train) for train, _ in shards], dtype=np.int64)
     return ClientStore.gather(data, PartitionPlan(owner, len(shards)), cuts)
+
+
+def run_cli(*args, env_vars=None):
+    """The riskfed CLI in a fresh interpreter, importing the riskfed under
+    test, with Python's default warning filters; env_vars sets variables,
+    or unsets those given as None."""
+    env = dict(os.environ)
+    env.pop("PYTHONWARNINGS", None)
+    for name, value in (env_vars or {}).items():
+        if value is None:
+            env.pop(name, None)
+        else:
+            env[name] = value
+    package_root = str(Path(riskfed.__file__).resolve().parent.parent)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (package_root, env.get("PYTHONPATH")) if p
+    )
+    return subprocess.run([sys.executable, "-m", "riskfed.cli", *args],
+                          capture_output=True, text=True, env=env)
 
 
 @pytest.fixture

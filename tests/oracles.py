@@ -6,7 +6,8 @@ A risk vector holds one risk per sample at fixed weights. The threshold
 q is the smallest risk whose empirical CDF reaches beta. The tail is the
 set of samples whose risk strictly exceeds q; the distortion measure is
 the average risk over that tail, and the hinge surrogate is the mean
-positive part of (risk - q).
+positive part of (risk - q). The tail objective is the L2 regularizer
+plus c (1 - beta) times the CVaR of the risks.
 """
 
 from __future__ import annotations
@@ -112,6 +113,22 @@ def hinge_surrogate(risks, q: float) -> float:
     """Mean positive part of (risk - q); always nonnegative."""
     risks = _as_risks(risks)
     return float(np.sum(np.maximum(0.0, risks - q))) / risks.size
+
+
+def tail_objective(w, features, labels, beta: float, c: float) -> float:
+    """F(w) = 0.5 ||w||^2 + c (1 - beta) CVaR_beta(R), with CVaR_beta the
+    mean of the risks' quantile function over (beta, 1].
+
+    The empirical quantile function is R_(i), the i-th smallest risk, on
+    ((i-1)/n, i/n], so c (1 - beta) CVaR_beta = c sum_i m_i R_(i), where
+    m_i is the length of ((i-1)/n, i/n] that lies in (beta, 1].
+    """
+    w = np.asarray(w, dtype=np.float64)
+    risks = np.sort([sample_risk(w, x, y) for x, y in zip(features, labels)])
+    n = risks.size
+    i = np.arange(1, n + 1)
+    mass = np.maximum(0.0, i / n - np.maximum((i - 1) / n, beta))
+    return 0.5 * float(w @ w) + c * float(mass @ risks)
 
 
 def exdir_plan(sectors, num_clients: int, labels_per_client: int, alpha: float,

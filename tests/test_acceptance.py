@@ -13,7 +13,7 @@ from riskfed.federation import ExperimentConfig, build_data_and_plan, run_experi
 from riskfed.partition import exdir_partition
 from riskfed.sensitivity import aggregate_sensitivity, central_update, client_report
 
-from conftest import make_dataset
+from conftest import make_dataset, run_cli
 from oracles import (
     beta_quantile,
     distortion_risk,
@@ -35,7 +35,7 @@ def experiment_config(algorithm, **overrides):
                 rounds=100, seed=2, d=20, num_sectors=2, signal=2.5,
                 labels_per_client=1, dirichlet_alpha=1.0, train_fraction=0.8,
                 beta=0.8, c=1.0, epsilon=2.0, participation_rate=1.0,
-                dropout_rate=0.0, local_lr=0.05, workers=4)
+                dropout_rate=0.0, local_lr=0.05)
     base.update(overrides)
     cfg = ExperimentConfig(**base)
     cfg.validate()
@@ -184,7 +184,7 @@ def test_criterion_4_closed_form_round():
     start = time.perf_counter()
     cfg_kw = dict(algorithm="fral_cse", clients=6, samples_per_client=50,
                   rounds=1, seed=17, d=5, c=0.0, epsilon=0.001,
-                  participation_rate=1.0, dropout_rate=0.0, workers=1)
+                  participation_rate=1.0, dropout_rate=0.0)
     first = run_experiment(ExperimentConfig(**cfg_kw))
     second = run_experiment(ExperimentConfig(**cfg_kw))
     ratio = 0.001 / 1.001
@@ -247,35 +247,50 @@ def test_criterion_7_participation_robustness():
     assert delta <= 0.05
 
 
+def run_artifacts(out):
+    """Each artifact's bytes, by name, of the one run directory under out."""
+    run_dir, = out.iterdir()
+    return {path.name: path.read_bytes() for path in run_dir.iterdir()}
+
+
 def test_criterion_8_run_determinism(tmp_path):
-    # fral_cse's central step and fedprox's per-client local training
+    # fral_cse's central step and fedprox's per-client local training, on
+    # shards large enough for OpenBLAS to split a product across threads
     start = time.perf_counter()
     cases = {
         "fral_cse": "algorithm = fral_cse\n",
         "fedprox": "algorithm = fedprox\nmu = 0.1\nlocal_epochs = 3\n",
     }
-    ok = True
+    shards = ("clients = 10\nsamples_per_client = 500\nd = 130\nrounds = 10\n"
+              "seed = 31\nnum_sectors = 1\nsignal = 3.0\nalpha = 10\nepsilon = 2.0\n"
+              "participation_rate = 0.8\ndropout_rate = 0.1\n")
+    failures = []
     for name, algorithm_text in cases.items():
-        blobs = {}
-        for workers in (1, 8):
-            config_text = (
-                algorithm_text + "clients = 5\nsamples_per_client = 200\n"
-                "rounds = 10\nseed = 31\nd = 6\nparticipation_rate = 0.8\n"
-                f"dropout_rate = 0.1\nworkers = {workers}\n"
-            )
-            config = tmp_path / f"{name}-w{workers}.conf"
-            config.write_text(config_text, encoding="utf-8")
-            runs = []
-            for attempt in ("a", "b"):
-                out = tmp_path / f"{name}-w{workers}{attempt}"
-                assert main(["run", "--config", str(config), "--out", str(out)]) == 0
-                runs.append((next(out.iterdir()) / "metrics.csv").read_bytes())
-            assert runs[0] == runs[1], f"{name} workers={workers} not reproducible"
-            blobs[workers] = runs[0]
-        ok = ok and blobs[1] == blobs[8]
+        plain = tmp_path / f"{name}.conf"
+        plain.write_text(algorithm_text + shards, encoding="utf-8")
+        retired = tmp_path / f"{name}-workers.conf"
+        retired.write_text(algorithm_text + shards + "workers = 8\n", encoding="utf-8")
+        runs = {}
+        for label, config in (("rerun", plain), ("retired workers line", retired)):
+            out = tmp_path / f"{name}-{len(runs)}"
+            assert main(["run", "--config", str(config), "--out", str(out)]) == 0
+            runs[label] = run_artifacts(out)
+        # an in-process run takes the BLAS threads the test process's
+        # environment sets, so both thread counts run in subprocesses
+        for threads in ("1", "2"):
+            out = tmp_path / f"{name}-threads{threads}"
+            proc = run_cli("run", "--config", str(plain), "--out", str(out),
+                           env_vars={"OPENBLAS_NUM_THREADS": threads,
+                                     "GOTO_NUM_THREADS": None, "OMP_NUM_THREADS": None})
+            assert proc.returncode == 0, proc.stderr
+            runs[f"rerun at {threads} BLAS thread(s)"] = run_artifacts(out)
+        reference = runs.pop("rerun")
+        failures += [f"{name}: {label} differs" for label, blobs in runs.items()
+                     if blobs != reference]
     elapsed = time.perf_counter() - start
-    report(8, "byte-identical runs across workers", ok, elapsed, "fral_cse, fedprox")
-    assert ok
+    report(8, "byte-identical reruns across BLAS threads", not failures, elapsed,
+           failures[0] if failures else "fral_cse, fedprox")
+    assert not failures, failures
 
 
 def partition_failures(plan, data, labels_per_client):

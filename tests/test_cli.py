@@ -1,16 +1,15 @@
 import errno
 import os
-import subprocess
-import sys
 from pathlib import Path
 
 import pytest
 
-import riskfed
 from riskfed.cli import main, parse_config, resolved_config_text
 from riskfed.data import generate_synthetic, write_csv
 from riskfed.errors import ConfigurationError
 from riskfed.federation import ExperimentConfig
+
+from conftest import run_cli
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -28,25 +27,6 @@ def write_config(tmp_path, text=MINIMAL, name="exp.conf"):
     path = tmp_path / name
     path.write_text(text, encoding="utf-8")
     return path
-
-
-def run_cli(*args, env_vars=None):
-    """The riskfed CLI in a fresh interpreter, importing the riskfed under
-    test, with Python's default warning filters; env_vars sets variables,
-    or unsets those given as None."""
-    env = dict(os.environ)
-    env.pop("PYTHONWARNINGS", None)
-    for name, value in (env_vars or {}).items():
-        if value is None:
-            env.pop(name, None)
-        else:
-            env[name] = value
-    package_root = str(Path(riskfed.__file__).resolve().parent.parent)
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (package_root, env.get("PYTHONPATH")) if p
-    )
-    return subprocess.run([sys.executable, "-m", "riskfed.cli", *args],
-                          capture_output=True, text=True, env=env)
 
 
 class TestParseConfig:
@@ -94,7 +74,7 @@ class TestParseConfig:
     @pytest.mark.parametrize("key, value", [
         ("participation_rate", "0.0"), ("dropout_rate", "1.0"), ("clients", "0"),
         ("d", "1"), ("num_sectors", "0"), ("signal", "0"), ("alpha", "0"),
-        ("epsilon", "-1"), ("train_fraction", "1.0"), ("workers", "0"),
+        ("epsilon", "-1"), ("train_fraction", "1.0"), ("C", "0"),
         *[(key, "inf") for key in ("signal", "alpha", "epsilon", "c", "local_lr",
                                    "mu")],
     ])
@@ -135,21 +115,27 @@ class TestParseConfig:
             parse_config(path)
         assert main(["validate", "--config", str(path)]) == 2
 
-    def test_duplicate_key_rejected(self, tmp_path):
-        path = write_config(tmp_path, MINIMAL + "seed = 8\n")
-        with pytest.raises(ConfigurationError, match="duplicate"):
+    @pytest.mark.parametrize("key", ["seed", "C", "alpha"])
+    def test_duplicate_key_rejected(self, tmp_path, key):
+        # C and alpha set attributes of other names (labels_per_client,
+        # dirichlet_alpha), so a duplicate is found by the config key
+        lines = [line for line in MINIMAL.splitlines()
+                 if not line.startswith(f"{key} =")] + [f"{key} = 1", f"{key} = 2"]
+        path = write_config(tmp_path, "\n".join(lines) + "\n")
+        with pytest.raises(ConfigurationError,
+                           match=rf"exp\.conf:{len(lines)}: duplicate key '{key}'"):
             parse_config(path)
+        assert main(["validate", "--config", str(path)]) == 2
 
-    def test_workers_default_does_not_follow_the_host(self, monkeypatch):
-        monkeypatch.setattr(os, "cpu_count", lambda: 64)
-        cfg = ExperimentConfig(algorithm="fral_cse", clients=3,
-                               samples_per_client=40, rounds=2, seed=7)
-        assert cfg.workers == 1
-        assert "workers = 1" in resolved_config_text(cfg).splitlines()
-
-    def test_workers_accepted_and_printed(self, tmp_path):
-        cfg = parse_config(write_config(tmp_path, MINIMAL + "workers = 8\n"))
-        assert "workers = 8" in resolved_config_text(cfg).splitlines()
+    def test_retired_workers_line_changes_nothing(self, tmp_path):
+        plain = parse_config(write_config(tmp_path))
+        retired = parse_config(write_config(tmp_path, MINIMAL + "workers = 8\n",
+                                            "workers.conf"))
+        assert resolved_config_text(retired) == resolved_config_text(plain)
+        assert "workers" not in resolved_config_text(plain)
+        with pytest.raises(TypeError):
+            ExperimentConfig(algorithm="fral_cse", clients=3, samples_per_client=40,
+                             rounds=2, seed=7, workers=1)
 
     def test_resolved_text_round_trips(self, tmp_path):
         cfg = parse_config(write_config(tmp_path))
@@ -250,6 +236,21 @@ class TestMainRun:
         assert proc.returncode == 2
         assert proc.stderr == f"error: --out {out}: {os.strerror(errno.ENAMETOOLONG)}\n"
 
+    @pytest.mark.parametrize("command", ["run", "partition-report"])
+    def test_config_too_large_for_memory_exit_code_two(self, tmp_path, capsys, command):
+        # 10^18 records: the first array asks for 8 * 10^18 bytes, more than
+        # any 64-bit address space, so the request fails before anything is
+        # allocated
+        text = MINIMAL.replace("clients = 3", "clients = 1000").replace(
+            "samples_per_client = 40", "samples_per_client = 1000000000000000")
+        config = write_config(tmp_path, text)
+        out = tmp_path / "o"
+        assert main([command, "--config", str(config), "--out", str(out)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("error: not enough memory for this config: ")
+        assert not out.exists()
+
     def test_bad_data_csv_exit_code_three(self, tmp_path):
         bad = tmp_path / "bad.csv"
         bad.write_text("feature_0,feature_1,label\n1.0,2.0,0\n", encoding="utf-8")
@@ -292,7 +293,7 @@ class TestMainRun:
         # the quickstart as fedavg: w @ w and the step norm overflow first
         ("algorithm = fedavg\nlocal_lr = 1e6\n",
          "round 26: train loss is not finite (inf)"),
-        # local training overflows; workers = 2 is accepted and changes nothing
+        # local training overflows; the retired workers line is read and ignored
         ("algorithm = fedprox\nmu = 0.5\nlocal_lr = 1e150\nlocal_epochs = 5\n"
          "workers = 2\n",
          "round 1: weights are not finite after the update"),

@@ -23,7 +23,7 @@ from conftest import make_dataset, make_store
 
 def config(**kw):
     base = dict(algorithm="fral_cse", clients=1, samples_per_client=10, rounds=1,
-                seed=0, d=2, num_sectors=1, workers=1)
+                seed=0, d=2, num_sectors=1)
     base.update(kw)
     cfg = ExperimentConfig(**base)
     cfg.validate()
@@ -258,13 +258,12 @@ class TestRunExperiment:
         ("fedprox", {"mu": 0.1, "local_epochs": 3}),
     ], ids=["fral_cse", "fedavg", "fedprox"])
     def test_deterministic_metrics_bytes(self, tmp_path, algorithm, extra):
-        # workers is accepted and has no effect: clients train in one loop
-        cfg_kw = dict(algorithm=algorithm, clients=5, samples_per_client=60,
-                      rounds=6, seed=11, d=4, dropout_rate=0.1,
-                      participation_rate=0.8, **extra)
+        cfg = config(algorithm=algorithm, clients=5, samples_per_client=60,
+                     rounds=6, seed=11, d=4, dropout_rate=0.1,
+                     participation_rate=0.8, **extra)
         paths, weights = [], []
-        for i, workers in enumerate((1, 8)):
-            result = run_experiment(config(workers=workers, **cfg_kw))
+        for i in range(2):
+            result = run_experiment(cfg)
             path = tmp_path / f"m{i}.csv"
             write_metrics_csv(result.records, path)
             paths.append(path.read_bytes())
@@ -283,8 +282,7 @@ class TestRunExperiment:
 
     def test_converges_on_separable_data(self):
         cfg = config(algorithm="fral_cse", clients=10, samples_per_client=1000,
-                     rounds=100, seed=42, d=20, num_sectors=1, signal=4.0,
-                     workers=4)
+                     rounds=100, seed=42, d=20, num_sectors=1, signal=4.0)
         result = run_experiment(cfg)
         _, _, store = build_clients(cfg)
         # oracle: a full-batch least-squares fit confirms the data is

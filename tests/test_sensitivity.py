@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from riskfed.errors import AggregationError, NumericalError
 from riskfed.sensitivity import (
@@ -7,9 +9,11 @@ from riskfed.sensitivity import (
     aggregate_sensitivity,
     central_update,
     client_report,
+    tail_system,
 )
 
-from conftest import make_dataset
+from conftest import make_dataset, make_store
+from oracles import tail_objective
 
 
 def report_with_gram(gram, n_k):
@@ -191,3 +195,42 @@ class TestGaussNewtonConsistency:
         true_hessian = np.eye(d + 1) + (2 * c / n) * report.gram
         np.testing.assert_allclose(2 * (s - np.eye(d + 1)),
                                    true_hessian - np.eye(d + 1), atol=1e-12)
+
+
+H = 1e-6  # central-difference step
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(2, 60), st.integers(1, 6),
+       st.sampled_from([0.5, 1.0, 2.0]), st.data())
+def test_step_descends_the_cvar_objective(seed, n, d, c, data):
+    """One client's g from the store's tail rows is the gradient of
+    F = 0.5 ||w||^2 + c (1 - beta) CVaR_beta, up to the CVaR weight
+    (k - beta n) / n on q's own row, which is 0 where beta n is an integer.
+
+    F is differentiable at w when no risk lies within the step's reach
+    of q, so its central differences are then its gradient."""
+    rng = np.random.default_rng(seed)
+    features = rng.standard_normal((n, d))
+    labels = rng.choice([-1.0, 1.0], n)
+    w = rng.standard_normal(d + 1)
+    if data.draw(st.booleans(), label="beta n an integer"):
+        beta = data.draw(st.integers(1, n - 1), label="beta n") / n
+    else:
+        beta = data.draw(st.floats(0.05, 0.95), label="beta")
+    xb = np.hstack([features, np.ones((n, 1))])
+    risks = -labels * (xb @ w)
+    k = int(np.argmax(np.arange(1, n + 1) / n >= beta)) + 1  # rank of q
+    q_row = int(np.argsort(risks)[k - 1])
+    others = np.delete(risks, q_row)
+    assume(np.all(np.abs(others - risks[q_row]) > 2 * H * np.abs(xb).max()))
+
+    shard = make_dataset(features, labels)
+    store = make_store([(shard, shard)])
+    rows = store.evaluate(w, beta, c).tail_rows(np.array([0]))
+    _, g = tail_system(w, store.train.features[rows], store.train.labels[rows], n, c)
+    fd = np.array([(tail_objective(w + e, features, labels, beta, c)
+                    - tail_objective(w - e, features, labels, beta, c)) / (2 * H)
+                   for e in H * np.eye(d + 1)])
+    atom = c * (k / n - beta) * np.linalg.norm(xb[q_row])
+    assert np.linalg.norm(fd - g) <= atom + 1e-8
