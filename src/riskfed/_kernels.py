@@ -80,11 +80,11 @@ def local_sgd(features, labels, w0, anchor, beta, c, epochs, lr, mu):
     for _ in range(epochs):
         risks = -labels * linear_scores(features, w)
         q = np.partition(risks, k - 1)[k - 1]
-        active = risks > q
+        idx = np.flatnonzero(risks > q)
         g = w + mu * (w - anchor)
-        if np.any(active):
-            xa = features[active]
-            ya = labels[active]
+        if idx.size:
+            xa = features.take(idx, axis=0)
+            ya = labels.take(idx)
             g[:d] -= scale * (xa.T @ ya)
             g[d] -= scale * float(ya.sum())
         w = w - lr * g

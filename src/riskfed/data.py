@@ -5,10 +5,19 @@ Records are temporally ordered: index position is time. Labels use the
 Each record carries a small integer sector tag used by the partitioner,
 and the synthetic generator ties the feature distribution to that tag so
 sector-specialized clients see genuinely different feature dynamics.
+
+A run's records are a loaded ``LabeledDataset`` or the generator's
+``SyntheticRecords``. Both give every record's label and sector up
+front, and both write the features through ``write_features(out,
+dest)``, which puts record r's row at ``out[dest[r]]``: a loaded CSV in
+one scatter, synthetic records as a stream of fixed-size blocks. So the
+client store is filled in its own row order without a record-ordered
+copy of the synthetic features ever existing.
 """
 
 from __future__ import annotations
 
+import copy
 import csv
 import math
 import string
@@ -47,33 +56,79 @@ class LabeledDataset:
         return LabeledDataset(
             self.features[start:stop], self.labels[start:stop], self.sectors[start:stop])
 
+    def write_features(self, out: np.ndarray, dest: np.ndarray) -> None:
+        """Write record r's features into out[dest[r]], in one scatter."""
+        out[dest] = self.features
 
-def generate_synthetic(
+
+#: Records per block of the synthetic feature stream, whose only
+#: temporaries are a few (STREAM_ROWS, d) arrays.
+STREAM_ROWS = 1024
+
+
+@dataclass(frozen=True)
+class SyntheticRecords:
+    """The synthetic records before their features are drawn: each
+    record's label and sector, the sector means, and the generator where
+    the feature stream starts. ``write_features`` draws the stream."""
+
+    labels: np.ndarray  # (n,) float64, values in {-1, +1}
+    sectors: np.ndarray  # (n,) int64
+    means: np.ndarray  # (num_sectors, d) unit-norm sector directions
+    signal: float
+    rng: np.random.Generator  # positioned at the first feature draw
+
+    @property
+    def dim(self) -> int:
+        return self.means.shape[1]
+
+    def write_features(self, out: np.ndarray, dest: np.ndarray) -> None:
+        """Write record r's features into out[dest[r]], drawn STREAM_ROWS
+        records at a time from a copy of the generator, so every call
+        writes the same rows. standard_normal drawn in blocks gives the
+        draws of one whole (n, d) call, bit for bit."""
+        rng = copy.deepcopy(self.rng)
+        n, d = self.labels.size, self.dim
+        for a in range(0, n, STREAM_ROWS):
+            b = min(a + STREAM_ROWS, n)
+            block = rng.standard_normal((b - a, d))
+            shift = self.signal * self.means[self.sectors[a:b]]
+            shift *= self.labels[a:b, None]
+            # noise + shift equals shift + noise bit for bit
+            block += shift
+            out[dest[a:b]] = block
+
+
+def synthetic_records(
     n: int, d: int, num_sectors: int, seed: int, signal: float = 1.0
-) -> LabeledDataset:
-    """Seeded financial-style generator.
+) -> SyntheticRecords:
+    """Seeded financial-style generator, first phase.
 
     Each sector s has a fixed unit-norm mean direction mu_s. A record
     draws sector and label uniformly, then x = y * signal * mu_s + noise
     with standard normal noise, so the label is linearly recoverable and
-    the recoverable direction differs per sector.
+    the recoverable direction differs per sector. This phase draws the
+    means, sectors and labels; the noise is drawn as the features stream.
     """
     rng = np.random.default_rng(seed)
     means = rng.standard_normal((num_sectors, d))
     means /= np.linalg.norm(means, axis=1, keepdims=True)
     sectors = rng.integers(0, num_sectors, size=n)
     labels = np.where(rng.random(n) < 0.5, -1.0, 1.0)
-    shift = signal * means[sectors]
-    shift *= labels[:, None]
-    # noise + shift equals shift + noise bit for bit, and adding in place
-    # into the noise spares one (n, d) temporary
-    features = rng.standard_normal((n, d))
-    features += shift
-    return LabeledDataset(
-        features=np.ascontiguousarray(features),
-        labels=labels,
-        sectors=sectors.astype(np.int64),
-    )
+    return SyntheticRecords(labels=labels, sectors=sectors.astype(np.int64),
+                            means=means, signal=signal, rng=rng)
+
+
+def generate_synthetic(
+    n: int, d: int, num_sectors: int, seed: int, signal: float = 1.0
+) -> LabeledDataset:
+    """The synthetic records in record order, features in memory: both
+    phases of ``synthetic_records`` with record r written to row r."""
+    records = synthetic_records(n, d, num_sectors, seed, signal)
+    features = np.empty((n, d))
+    records.write_features(features, np.arange(n))
+    return LabeledDataset(features=features, labels=records.labels,
+                          sectors=records.sectors)
 
 
 def _feature_header(d: int) -> list[str]:

@@ -7,7 +7,10 @@ experiment seed through fixed stream tags. Per-client dropout draws are
 seeded by (seed, round, client). Clients train in one serial loop on one
 pinned OpenBLAS thread, so no thread count of the host changes an outcome.
 
-Clients live in one ``ClientStore``. Each round starts from the store's
+Clients live in one ``ClientStore``. Set-up draws or loads every record's
+label and sector, partitions them, and only then writes the features,
+each straight to its row of the store, so a synthetic run never holds
+its features in record order. Each round starts from the store's
 evaluation at the broadcast weights and ends with the one evaluation at
 the new weights, which gives the round's train loss and starts the next
 round. All algorithms share that round; only the step from the survivors
@@ -25,8 +28,9 @@ import numpy as np
 
 from . import _blas, _kernels, sensitivity
 from ._pcg import first_uniforms
+from .data import generate_synthetic, load_csv, split_points, synthetic_records
 # temporal_split stays a name here: perfbench/child.py wraps it by this name
-from .data import generate_synthetic, load_csv, split_points, temporal_split  # noqa: F401
+from .data import temporal_split  # noqa: F401
 from .errors import ConfigurationError, ExperimentError, NumericalError
 from .metrics import RoundRecord, accuracy
 from .model import init_weights
@@ -74,6 +78,11 @@ CONFIG_SCHEMA = {
 }
 
 
+# keys that only shape synthetic data: with data_csv set they change nothing,
+# so their ranges are not checked
+_SYNTHETIC_KEYS = ("d", "num_sectors", "signal")
+
+
 @dataclass
 class ExperimentConfig:
     """All knobs of one experiment; defaults resolve in __post_init__."""
@@ -106,11 +115,14 @@ class ExperimentConfig:
             self.local_epochs = 0 if self.algorithm == "fral_cse" else 1
 
     def validate(self) -> None:
-        """Check each key against CONFIG_SCHEMA, then the rules that join
-        two keys, then that every float is finite. The first failure is
+        """Check each key against CONFIG_SCHEMA (but not the synthetic
+        data's keys when data_csv is set), then the rules that join two
+        keys, then that every float is finite. The first failure is
         raised, its message starting with the key's name."""
         for key, (attr, _, valid, expected) in CONFIG_SCHEMA.items():
             value = getattr(self, attr)
+            if self.data_csv and key in _SYNTHETIC_KEYS:
+                continue
             if not valid(value):
                 raise ConfigurationError(
                     f"{key} = {value!r} out of range, expected {expected}")
@@ -233,34 +245,48 @@ _ROUND_FN = {
 }
 
 
-def build_data_and_plan(config: ExperimentConfig):
-    """Materialize the dataset (synthetic or CSV) and its partition plan."""
+def _records(config: ExperimentConfig, synthetic):
+    """The run's records: the dataset CSV as loaded, or synthetic(...) on
+    the config's generator arguments."""
     if config.data_csv:
-        data = load_csv(config.data_csv)
-    else:
-        data = generate_synthetic(
-            n=config.clients * config.samples_per_client,
-            d=config.d,
-            num_sectors=config.num_sectors,
-            seed=_child_seed(config.seed, _DATA_STREAM),
-            signal=config.signal,
-        )
-    plan = exdir_partition(
-        data,
+        return load_csv(config.data_csv)
+    return synthetic(
+        n=config.clients * config.samples_per_client,
+        d=config.d,
+        num_sectors=config.num_sectors,
+        seed=_child_seed(config.seed, _DATA_STREAM),
+        signal=config.signal,
+    )
+
+
+def _plan(config: ExperimentConfig, sectors) -> PartitionPlan:
+    return exdir_partition(
+        sectors,
         num_clients=config.clients,
         labels_per_client=config.labels_per_client,
         alpha=config.dirichlet_alpha,
         seed=_child_seed(config.seed, _PARTITION_STREAM),
     )
-    return data, plan
+
+
+def build_data_and_plan(config: ExperimentConfig):
+    """The record-ordered dataset, features in memory, and its partition
+    plan; a run builds its store without this copy (``build_clients``)."""
+    data = _records(config, generate_synthetic)
+    return data, _plan(config, data.sectors)
 
 
 def build_clients(config: ExperimentConfig):
-    """Materialize data, partition, and the store of per-client temporal
-    splits; the store iterates over the clients in id order."""
-    data, plan = build_data_and_plan(config)
+    """(None, plan, store): draw or load every record's label and sector,
+    partition them, then write the features once, straight into the
+    store of per-client temporal splits; synthetic features are streamed
+    and never held in record order. The store iterates over the clients
+    in id order. The first slot holds nothing; perfbench/child.py unpacks
+    three."""
+    records = _records(config, synthetic_records)
+    plan = _plan(config, records.sectors)
     cuts = split_points(plan.sizes(), config.train_fraction)
-    return data, plan, ClientStore.gather(data, plan, cuts)
+    return None, plan, ClientStore.build(records, plan, cuts)
 
 
 def run_experiment(config: ExperimentConfig) -> ExperimentResult:

@@ -15,7 +15,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import LabeledDataset
 from .errors import PartitionError
 
 
@@ -42,14 +41,15 @@ class PartitionPlan:
 
 
 def exdir_partition(
-    data: LabeledDataset,
+    sectors: np.ndarray,
     num_clients: int,
     labels_per_client: int,
     alpha: float,
     seed: int,
 ) -> PartitionPlan:
-    """Deterministic two-stage sector/Dirichlet partition."""
-    groups, group_sizes = np.unique(data.sectors, return_counts=True)
+    """Deterministic two-stage sector/Dirichlet partition of the records
+    whose sectors, in record order, are given."""
+    groups, group_sizes = np.unique(sectors, return_counts=True)
     g = groups.size
     if labels_per_client > g:
         raise PartitionError(f"C must lie in [1, {g}], got {labels_per_client}")
@@ -65,8 +65,8 @@ def exdir_partition(
     # and of the sectors each group's records in temporal order
     holders = np.split(np.argsort(held, axis=None, kind="stable") // labels_per_client,
                        np.cumsum(held_by)[:-1])
-    members = np.split(np.argsort(data.sectors, kind="stable"), np.cumsum(group_sizes)[:-1])
-    owner = np.empty(len(data), dtype=np.int64)
+    members = np.split(np.argsort(sectors, kind="stable"), np.cumsum(group_sizes)[:-1])
+    owner = np.empty(len(sectors), dtype=np.int64)
     for clients, records in zip(holders, members):
         proportions = rng.dirichlet(np.full(clients.size, alpha))
         bounds = np.floor(np.cumsum(proportions) * records.size).astype(np.int64)

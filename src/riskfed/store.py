@@ -1,9 +1,11 @@
 """All clients' rows in one contiguous store, evaluated in one batched pass.
 
-The train rows of every client sit in one C-contiguous array, ordered by
+Every client's features sit in one C-contiguous (N, d) buffer, written
+once, straight from the records: synthetic rows are streamed into it,
+so no record-ordered copy exists. The train rows come first, ordered by
 (train size, client id), so the clients of one size form one contiguous
-(clients, n, d) block; the test rows sit in another, client by client in
-id order. The rows are valid as read or made: ``load_csv`` checks every
+(clients, n, d) block; the test rows follow, client by client in id
+order. The rows are valid as read or made: ``load_csv`` checks every
 row of a CSV, and synthetic rows are valid by construction. The arrays
 are read-only, so nothing can write a bad value afterwards. Client k's
 shards are views of its row ranges, built as the store is iterated,
@@ -85,19 +87,32 @@ class ClientStore:
     size_groups: tuple
 
     @classmethod
-    def gather(cls, data: LabeledDataset, plan: PartitionPlan,
-               cuts: np.ndarray) -> "ClientStore":
-        """Client k trains on the first cuts[k] of its records in plan and
-        tests on the rest; one gather per array, whose result is read-only."""
+    def build(cls, records, plan: PartitionPlan, cuts: np.ndarray) -> "ClientStore":
+        """The store of records split by plan: client k trains on the first
+        cuts[k] of its records in plan and tests on the rest.
+
+        records gives each record's label and sector, in record order, and
+        writes record r's features into out[dest[r]] through
+        ``write_features`` (a ``LabeledDataset`` or ``SyntheticRecords``).
+        The store holds one (N, d) feature buffer, filled once: the train
+        rows by layout, then the test rows; ``train`` and ``test`` are
+        read-only row views of it.
+        """
         order, sizes = plan.order(), plan.sizes()
         firsts = np.cumsum(sizes) - sizes  # where each client's run of order starts
         test_sizes = sizes - cuts
         layout = np.argsort(cuts, kind="stable")  # client ids by (train size, id)
-        train = data.subset(order[runs(firsts[layout], cuts[layout])])
-        test = data.subset(order[runs(firsts + cuts, test_sizes)])
-        for part in (train, test):
-            for array in (part.features, part.labels, part.sectors):
-                array.setflags(write=False)
+        source = order[np.concatenate((runs(firsts[layout], cuts[layout]),
+                                       runs(firsts + cuts, test_sizes)))]
+        dest = np.empty_like(source)  # the store row of each record
+        dest[source] = np.arange(source.size)
+        features = np.empty((source.size, records.dim))
+        records.write_features(features, dest)
+        labels, sectors = records.labels[source], records.sectors[source]
+        for array in (features, labels, sectors):
+            array.setflags(write=False)
+        whole = LabeledDataset(features, labels, sectors)
+        n_train = int(cuts.sum())
         starts = np.empty_like(cuts)
         starts[layout] = np.cumsum(cuts[layout]) - cuts[layout]
         groups = []
@@ -105,7 +120,8 @@ class ClientStore:
             ids = np.flatnonzero(cuts == n)
             a = int(starts[ids[0]])
             groups.append((n, ids, a, a + ids.size * n))
-        return cls(train=train, test=test, train_starts=starts, train_sizes=cuts,
+        return cls(train=whole.rows(0, n_train), test=whole.rows(n_train, source.size),
+                   train_starts=starts, train_sizes=cuts,
                    test_starts=np.cumsum(test_sizes) - test_sizes,
                    test_sizes=test_sizes, layout=layout, size_groups=tuple(groups))
 

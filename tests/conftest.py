@@ -33,11 +33,16 @@ def make_store(shards):
     sizes = [len(train) + len(test) for train, test in shards]
     owner = np.repeat(np.arange(len(shards)), sizes)
     cuts = np.array([len(train) for train, _ in shards], dtype=np.int64)
-    return ClientStore.gather(data, PartitionPlan(owner, len(shards)), cuts)
+    return ClientStore.build(data, PartitionPlan(owner, len(shards)), cuts)
 
 
 def run_cli(*args, env_vars=None):
-    """The riskfed CLI in a fresh interpreter, importing the riskfed under
+    """The riskfed CLI, run by run_python."""
+    return run_python("-m", "riskfed.cli", *args, env_vars=env_vars)
+
+
+def run_python(*args, env_vars=None):
+    """Python with args in a fresh interpreter, importing the riskfed under
     test, with Python's default warning filters; env_vars sets variables,
     or unsets those given as None."""
     env = dict(os.environ)
@@ -51,8 +56,8 @@ def run_cli(*args, env_vars=None):
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (package_root, env.get("PYTHONPATH")) if p
     )
-    return subprocess.run([sys.executable, "-m", "riskfed.cli", *args],
-                          capture_output=True, text=True, env=env)
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True,
+                          env=env)
 
 
 @pytest.fixture

@@ -1,6 +1,7 @@
 """Reference oracles for the tests: the linear score, its Jacobian row,
-and the empirical risk distribution with its tail threshold and tail
-measures, written from their definitions and independent of the kernels.
+the empirical risk distribution with its tail threshold and tail
+measures, the partition plan and the synthetic generator, written from
+their definitions and independent of the code they check.
 
 A risk vector holds one risk per sample at fixed weights. The threshold
 q is the smallest risk whose empirical CDF reaches beta. The tail is the
@@ -172,3 +173,23 @@ def exdir_plan(sectors, num_clients: int, labels_per_client: int, alpha: float,
     if not all(plan):
         return None
     return [sorted(records) for records in plan]
+
+
+def synthetic_features(n: int, d: int, num_sectors: int, seed: int, signal: float):
+    """(features, labels, sectors) of the synthetic generator drawn in one
+    shot, from its definition.
+
+    A generator seeded with seed draws, in this order: the (num_sectors,
+    d) sector means, each scaled to unit norm; n sectors uniform in
+    [0, num_sectors); n uniforms u, a label being -1 where u < 0.5 and +1
+    elsewhere; then the noise, one (n, d) standard normal draw. Record r
+    is noise[r] + labels[r] * signal * means[sectors[r]].
+    """
+    rng = np.random.default_rng(seed)
+    means = rng.standard_normal((num_sectors, d))
+    means = means / np.linalg.norm(means, axis=1, keepdims=True)
+    sectors = rng.integers(0, num_sectors, size=n)
+    labels = np.where(rng.random(n) < 0.5, -1.0, 1.0)
+    noise = rng.standard_normal((n, d))
+    shift = signal * means[sectors] * labels[:, None]
+    return noise + shift, labels, sectors

@@ -329,7 +329,7 @@ def test_criterion_9_partition_validity():
         failures.extend(partition_failures(plan, data, cfg.labels_per_client))
 
     data, _ = build_data_and_plan(sweep[0])
-    concentrated = exdir_partition(data, num_clients=10, labels_per_client=1,
+    concentrated = exdir_partition(data.sectors, num_clients=10, labels_per_client=1,
                                    alpha=1e6, seed=99)
     if partition_failures(concentrated, data, 1):
         failures.append("concentrated-alpha plan invalid")

@@ -358,6 +358,18 @@ class TestMainValidate:
         config = write_config(tmp_path, MINIMAL + "beta = 1.4\n")
         assert main(["validate", "--config", str(config)]) == 2
 
+    @pytest.mark.parametrize("line", ["d = 1", "num_sectors = 0", "signal = 0"])
+    @pytest.mark.parametrize("with_csv, code", [(True, 0), (False, 2)])
+    def test_synthetic_keys_unchecked_with_data_csv(self, tmp_path, line, with_csv, code):
+        # d, num_sectors and signal shape synthetic data only, so a config
+        # may describe a one-feature CSV honestly
+        records = tmp_path / "one.csv"
+        records.write_text("feature_0,label\n0.5,1\n-0.5,-1\n0.25,1\n", encoding="utf-8")
+        text = MINIMAL.replace("d = 4\n", "") + line + "\n"
+        if with_csv:
+            text += f"data_csv = {records}\n"
+        assert main(["validate", "--config", str(write_config(tmp_path, text))]) == code
+
 
 class TestMainPartitionReport:
     def test_report_and_csv(self, tmp_path, capsys):

@@ -2,6 +2,7 @@ import csv
 import math
 import re
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -18,6 +19,8 @@ from riskfed.data import (
     write_csv,
 )
 from riskfed.errors import ConfigurationError, DataError
+
+from oracles import synthetic_features
 
 
 class TestGenerateSynthetic:
@@ -66,6 +69,30 @@ def test_generated_rows_keep_the_dataset_invariants(n, d, num_sectors, seed, sig
     assert data.labels.shape == (n,) and set(np.unique(data.labels)) <= {-1.0, 1.0}
     assert data.sectors.shape == (n,) and data.sectors.dtype == np.int64
     assert set(np.unique(data.sectors)) <= set(range(num_sectors))
+
+
+def assert_equals_one_shot(n, d, num_sectors, seed, signal):
+    features, labels, sectors = synthetic_features(n, d, num_sectors, seed, signal)
+    data = generate_synthetic(n, d, num_sectors, seed=seed, signal=signal)
+    np.testing.assert_array_equal(data.features, features, strict=True)
+    np.testing.assert_array_equal(data.labels, labels, strict=True)
+    np.testing.assert_array_equal(data.sectors, sectors, strict=True)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data(), st.integers(1, 40), st.integers(1, 8), st.integers(1, 6),
+       st.integers(0, 2**63), st.floats(0.01, 100.0))
+def test_streamed_generator_equals_one_shot_draw(data, n, d, num_sectors, seed, signal):
+    # blocks of 1 and 3 records, and one block longer than n, give the
+    # features of one whole standard_normal draw bit for bit
+    rows = data.draw(st.sampled_from([1, 3, n + 1]))
+    with mock.patch.object(riskfed.data, "STREAM_ROWS", rows):
+        assert_equals_one_shot(n, d, num_sectors, seed, signal)
+
+
+def test_generator_past_one_block_equals_one_shot_draw():
+    # the module's own block size, with a partial last block
+    assert_equals_one_shot(2 * riskfed.data.STREAM_ROWS + 5, 3, 4, seed=8, signal=1.5)
 
 
 class TestCsvRoundTrip:

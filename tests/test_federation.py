@@ -1,3 +1,6 @@
+import textwrap
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -11,6 +14,7 @@ from riskfed.federation import (
     _averaging_step,
     apply_dropout,
     build_clients,
+    build_data_and_plan,
     run_experiment,
     sample_participants,
 )
@@ -18,7 +22,7 @@ from riskfed.metrics import write_metrics_csv
 from riskfed.sensitivity import client_report
 from riskfed.store import ClientState
 
-from conftest import make_dataset, make_store
+from conftest import make_dataset, make_store, run_python
 
 
 def config(**kw):
@@ -313,7 +317,8 @@ class TestBuildClients:
     def test_store_rows_equal_per_client_temporal_splits(self):
         cfg = config(clients=7, samples_per_client=23, seed=3, d=3, num_sectors=2,
                      dirichlet_alpha=50.0)
-        data, plan, store = build_clients(cfg)
+        data, _ = build_data_and_plan(cfg)
+        _, plan, store = build_clients(cfg)
         assert [c.client_id for c in store] == list(range(7))
         for client, idx in zip(store, plan.records()):
             train, test = temporal_split(data.subset(idx), cfg.train_fraction)
@@ -341,6 +346,34 @@ class TestBuildClients:
                 assert np.shares_memory(shard.features, whole.features)
                 assert np.shares_memory(shard.labels, whole.labels)
                 assert np.shares_memory(shard.sectors, whole.sectors)
+
+    @pytest.mark.skipif(not Path("/proc/self/status").is_file(),
+                        reason="reads VmHWM from /proc/self/status")
+    def test_build_clients_holds_the_features_once(self):
+        # 100 x 500 records at d = 100: 40 MB of features. The peak resident
+        # size may grow by at most 1.5 times that across build_clients; a
+        # record-ordered copy next to the store's would double it.
+        probe = textwrap.dedent("""\
+            from riskfed.federation import ExperimentConfig, build_clients
+
+            def status(key):
+                with open("/proc/self/status", encoding="ascii") as fh:
+                    for line in fh:
+                        if line.startswith(key + ":"):
+                            return int(line.split()[1]) * 1024
+
+            cfg = ExperimentConfig(algorithm="fral_cse", clients=100,
+                                   samples_per_client=500, rounds=1, seed=1, d=100,
+                                   dirichlet_alpha=100.0)
+            cfg.validate()
+            before = status("VmRSS")
+            build_clients(cfg)
+            print(status("VmHWM") - before)
+            """)
+        proc = run_python("-c", probe)
+        assert proc.returncode == 0, proc.stderr
+        grown, feature_bytes = int(proc.stdout), 100 * 500 * 100 * 8
+        assert grown <= 1.5 * feature_bytes, grown / feature_bytes
 
     def test_averaging_step_trains_on_each_survivors_shard(self, monkeypatch):
         cfg = config(algorithm="fedprox", mu=0.1, clients=6, samples_per_client=30,

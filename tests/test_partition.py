@@ -24,14 +24,14 @@ def sectored_dataset(counts, seed=0):
 class TestExdirPartition:
     def test_single_client_gets_everything_in_order(self):
         data = sectored_dataset([6, 5, 4])
-        plan = exdir_partition(data, num_clients=1, labels_per_client=3,
+        plan = exdir_partition(data.sectors, num_clients=1, labels_per_client=3,
                                alpha=1.0, seed=0)
         np.testing.assert_array_equal(plan.order(), np.arange(15))
         np.testing.assert_array_equal(plan.sizes(), [15])
 
     def test_two_groups_two_clients_whole_group_each(self):
         data = sectored_dataset([8, 7])
-        plan = exdir_partition(data, num_clients=2, labels_per_client=1,
+        plan = exdir_partition(data.sectors, num_clients=2, labels_per_client=1,
                                alpha=1.0, seed=3)
         owned_sectors = [set(data.sectors[idx]) for idx in plan.records()]
         assert sorted(len(s) for s in owned_sectors) == [1, 1]
@@ -41,20 +41,20 @@ class TestExdirPartition:
     def test_seeded_redraw_oracle(self):
         # the replay: permutation first, then one Dirichlet per group
         data = sectored_dataset([40, 60], seed=1)
-        plan = exdir_partition(data, num_clients=4, labels_per_client=1,
+        plan = exdir_partition(data.sectors, num_clients=4, labels_per_client=1,
                                alpha=1.0, seed=42)
         expected = exdir_plan(data.sectors, 4, 1, 1.0, 42)
         assert [idx.tolist() for idx in plan.records()] == expected
 
     def test_deterministic(self):
         data = sectored_dataset([30, 30, 30])
-        a = exdir_partition(data, 5, 1, 1.0, seed=7)
-        b = exdir_partition(data, 5, 1, 1.0, seed=7)
+        a = exdir_partition(data.sectors, 5, 1, 1.0, seed=7)
+        b = exdir_partition(data.sectors, 5, 1, 1.0, seed=7)
         np.testing.assert_array_equal(a.owner, b.owner)
 
     def test_concentrated_alpha_equal_shares(self):
         data = sectored_dataset([100, 100], seed=2)
-        plan = exdir_partition(data, num_clients=4, labels_per_client=1,
+        plan = exdir_partition(data.sectors, num_clients=4, labels_per_client=1,
                                alpha=1e6, seed=11)
         for sector in (0, 1):
             sizes = [
@@ -68,26 +68,26 @@ class TestExdirPartition:
 
     def test_temporal_order_within_client(self):
         data = sectored_dataset([50, 50, 50], seed=3)
-        plan = exdir_partition(data, 6, 2, 1.0, seed=13)
+        plan = exdir_partition(data.sectors, 6, 2, 1.0, seed=13)
         for idx in plan.records():
             assert np.all(np.diff(idx) > 0)
 
     def test_insufficient_coverage_rejected(self):
         data = sectored_dataset([5, 5, 5])
         with pytest.raises(PartitionError):
-            exdir_partition(data, num_clients=2, labels_per_client=1,
+            exdir_partition(data.sectors, num_clients=2, labels_per_client=1,
                             alpha=1.0, seed=0)
 
     def test_labels_per_client_above_group_count(self):
         data = sectored_dataset([5, 5])
         with pytest.raises(PartitionError):
-            exdir_partition(data, 2, 3, 1.0, seed=0)
+            exdir_partition(data.sectors, 2, 3, 1.0, seed=0)
 
     def test_zero_record_client_rejected(self):
         # one record in a group shared by two clients starves one of them
         data = sectored_dataset([1])
         with pytest.raises(PartitionError, match="holds 1 records for 2 clients"):
-            exdir_partition(data, num_clients=2, labels_per_client=1,
+            exdir_partition(data.sectors, num_clients=2, labels_per_client=1,
                             alpha=1.0, seed=0)
 
 
@@ -96,7 +96,7 @@ class TestValidatePartition:
         # a fixed plan meets the definition: every record on one client,
         # no client empty, each client's records ascending, sizes summing
         data = sectored_dataset([40, 40], seed=5)
-        plan = exdir_partition(data, 4, 1, 1.0, seed=17)
+        plan = exdir_partition(data.sectors, 4, 1, 1.0, seed=17)
         sizes = plan.sizes()
         assert sizes.size == 4 and sizes.min() > 0
         assert sum(sizes) == len(data)
@@ -115,7 +115,7 @@ def test_partition_invariants(sectors, num_clients, labels_per_client, alpha, se
     gives each client at most C sectors."""
     data = make_dataset(np.zeros((len(sectors), 2)), np.ones(len(sectors)), sectors)
     try:
-        plan = exdir_partition(data, num_clients, labels_per_client, alpha, seed)
+        plan = exdir_partition(data.sectors, num_clients, labels_per_client, alpha, seed)
     except PartitionError:
         return
     assert plan.num_clients == num_clients
@@ -138,7 +138,7 @@ def test_plan_equals_replay_oracle(sectors, num_clients, labels_per_client, alph
     find that no plan exists."""
     data = make_dataset(np.zeros((len(sectors), 2)), np.ones(len(sectors)), sectors)
     try:
-        plan = exdir_partition(data, num_clients, labels_per_client, alpha, seed)
+        plan = exdir_partition(data.sectors, num_clients, labels_per_client, alpha, seed)
         got = [idx.tolist() for idx in plan.records()]
     except PartitionError:
         got = None
@@ -147,7 +147,7 @@ def test_plan_equals_replay_oracle(sectors, num_clients, labels_per_client, alph
 
 def test_partition_csv_export(tmp_path):
     data = generate_synthetic(30, 3, 2, seed=21)
-    plan = exdir_partition(data, 3, 1, 1.0, seed=23)
+    plan = exdir_partition(data.sectors, 3, 1, 1.0, seed=23)
     path = tmp_path / "plan.csv"
     write_partition_csv(plan, path)
     lines = path.read_text(encoding="utf-8").splitlines()

@@ -1,14 +1,18 @@
 """Property tests: the batched store evaluation and central system against
-the per-client kernels, the store layout gathered from an owner array, and
+the per-client kernels, the store layout built from an owner array, and
 the vectorized dropout draws against numpy."""
+
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import riskfed.data
 from riskfed import _kernels
 from riskfed._pcg import first_uniforms
+from riskfed.data import generate_synthetic, synthetic_records
 from riskfed.objective import aggregate_gradient
 from riskfed.partition import PartitionPlan
 from riskfed.sensitivity import aggregate_sensitivity, client_report, tail_system
@@ -141,7 +145,7 @@ def owned_records(draw):
 @given(owned_records())
 def test_gather_splits_each_clients_records_in_order(case):
     data, plan, cuts = case
-    store = ClientStore.gather(data, plan, cuts)
+    store = ClientStore.build(data, plan, cuts)
     assert len(store) == plan.num_clients
     check_layout(store)
     for k, client in enumerate(store):
@@ -151,6 +155,53 @@ def test_gather_splits_each_clients_records_in_order(case):
             np.testing.assert_array_equal(shard.labels, data.labels[idx])
             np.testing.assert_array_equal(shard.sectors, data.sectors[idx])
 
+
+@st.composite
+def streamed_records(draw):
+    """Generator arguments, a block size of 1, 3 or more than n records
+    with n just below, at or just above a multiple of it, and a plan that
+    interleaves the clients with their ids shuffled, with each client's
+    cut in 1..n-1."""
+    rows = draw(st.sampled_from([1, 3, None]))
+    if rows is None:
+        n = draw(st.integers(2, 60))
+        rows = n + draw(st.integers(1, 5))
+    else:
+        n = max(2, rows * draw(st.integers(1, 60 // rows)) + draw(st.sampled_from([-1, 0, 1])))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    k = draw(st.integers(1, n // 2))
+    sizes = 2 + rng.multinomial(n - 2 * k, np.full(k, 1 / k))
+    owner = rng.permutation(np.repeat(np.arange(k), sizes))
+    cuts = np.array([rng.integers(1, m) for m in sizes.tolist()], dtype=np.int64)
+    args = (n, draw(st.integers(1, 6)), draw(st.integers(1, 4)),
+            draw(st.integers(0, 2**63)), draw(st.floats(0.01, 100.0)))
+    return args, rows, PartitionPlan(owner, k), cuts
+
+
+@SETTINGS
+@given(streamed_records())
+def test_streamed_store_equals_store_of_the_record_ordered_data(case):
+    args, rows, plan, cuts = case
+    want = ClientStore.build(generate_synthetic(*args), plan, cuts)
+    records = synthetic_records(*args)
+    with mock.patch.object(riskfed.data, "STREAM_ROWS", rows):
+        got = ClientStore.build(records, plan, cuts)
+        # the stream starts afresh on each call
+        again = ClientStore.build(records, plan, cuts)
+    np.testing.assert_array_equal(again.train.features, got.train.features)
+    for part in ("train", "test"):
+        for array in ("features", "labels", "sectors"):
+            np.testing.assert_array_equal(getattr(getattr(got, part), array),
+                                          getattr(getattr(want, part), array), strict=True)
+    for name in ("train_starts", "train_sizes", "test_starts", "test_sizes", "layout"):
+        np.testing.assert_array_equal(getattr(got, name), getattr(want, name), strict=True)
+    assert len(got.size_groups) == len(want.size_groups)
+    for (n, ids, a, b), (wn, wids, wa, wb) in zip(got.size_groups, want.size_groups):
+        assert (n, a, b) == (wn, wa, wb)
+        np.testing.assert_array_equal(ids, wids, strict=True)
+    assert not got.train.features.flags.writeable
+    # train and test are views of one buffer
+    assert got.train.features.base is got.test.features.base is not None
 
 @pytest.mark.parametrize("beta", [0.05, 0.5, 0.95])
 def test_evaluate_layout_cases(beta):
