@@ -19,8 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigurationError, ExperimentError
-from .data import split_points
-from .federation import CONFIG_SCHEMA, ExperimentConfig, build_data_and_plan, run_experiment
+from .federation import CONFIG_SCHEMA, ExperimentConfig, plan_clients, run_experiment
 from .metrics import write_metrics_csv
 from .partition import write_partition_csv
 
@@ -130,12 +129,11 @@ def _cmd_validate(args) -> int:
 def _cmd_partition_report(args) -> int:
     config = parse_config(args.config)
     out_dir = _out_dir(args.out) if args.out else None
-    data, plan = build_data_and_plan(config)
-    split_points(plan.sizes(), config.train_fraction)  # the split check of run
+    records, plan, _ = plan_clients(config)
     if out_dir is not None:
         out_dir.mkdir(parents=True, exist_ok=True)
         write_partition_csv(plan, out_dir / "partition.csv")
-    groups, group_of = np.unique(data.sectors, return_inverse=True)
+    groups, group_of = np.unique(records.sectors, return_inverse=True)
     counts = np.bincount(plan.owner * groups.size + group_of,
                          minlength=plan.num_clients * groups.size)
     for client, row in enumerate(counts.reshape(-1, groups.size).tolist()):

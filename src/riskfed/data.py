@@ -98,6 +98,15 @@ class SyntheticRecords:
             block += shift
             out[dest[a:b]] = block
 
+    def dataset(self) -> LabeledDataset:
+        """These records in record order, features in memory: the stream
+        written with record r at row r."""
+        n = self.labels.size
+        features = np.empty((n, self.dim))
+        self.write_features(features, np.arange(n))
+        return LabeledDataset(features=features, labels=self.labels,
+                              sectors=self.sectors)
+
 
 def synthetic_records(
     n: int, d: int, num_sectors: int, seed: int, signal: float = 1.0
@@ -123,12 +132,8 @@ def generate_synthetic(
     n: int, d: int, num_sectors: int, seed: int, signal: float = 1.0
 ) -> LabeledDataset:
     """The synthetic records in record order, features in memory: both
-    phases of ``synthetic_records`` with record r written to row r."""
-    records = synthetic_records(n, d, num_sectors, seed, signal)
-    features = np.empty((n, d))
-    records.write_features(features, np.arange(n))
-    return LabeledDataset(features=features, labels=records.labels,
-                          sectors=records.sectors)
+    phases of ``synthetic_records``."""
+    return synthetic_records(n, d, num_sectors, seed, signal).dataset()
 
 
 def _feature_header(d: int) -> list[str]:

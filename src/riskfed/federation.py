@@ -28,9 +28,10 @@ import numpy as np
 
 from . import _blas, _kernels, sensitivity
 from ._pcg import first_uniforms
-from .data import generate_synthetic, load_csv, split_points, synthetic_records
-# temporal_split stays a name here: perfbench/child.py wraps it by this name
-from .data import temporal_split  # noqa: F401
+from .data import load_csv, split_points, synthetic_records
+# generate_synthetic and temporal_split stay names here: perfbench/child.py
+# wraps them by these names
+from .data import generate_synthetic, temporal_split  # noqa: F401
 from .errors import ConfigurationError, ExperimentError, NumericalError
 from .metrics import RoundRecord, accuracy
 from .model import init_weights
@@ -245,47 +246,46 @@ _ROUND_FN = {
 }
 
 
-def _records(config: ExperimentConfig, synthetic):
-    """The run's records: the dataset CSV as loaded, or synthetic(...) on
-    the config's generator arguments."""
+def plan_clients(config: ExperimentConfig):
+    """(records, plan, cuts), the one set-up of a run: the dataset CSV as
+    loaded, or the synthetic records' labels and sectors with no feature
+    drawn yet; their partition; and each client's train cut, by run's
+    split check."""
     if config.data_csv:
-        return load_csv(config.data_csv)
-    return synthetic(
-        n=config.clients * config.samples_per_client,
-        d=config.d,
-        num_sectors=config.num_sectors,
-        seed=_child_seed(config.seed, _DATA_STREAM),
-        signal=config.signal,
-    )
-
-
-def _plan(config: ExperimentConfig, sectors) -> PartitionPlan:
-    return exdir_partition(
-        sectors,
+        records = load_csv(config.data_csv)
+    else:
+        records = synthetic_records(
+            n=config.clients * config.samples_per_client,
+            d=config.d,
+            num_sectors=config.num_sectors,
+            seed=_child_seed(config.seed, _DATA_STREAM),
+            signal=config.signal,
+        )
+    plan = exdir_partition(
+        records.sectors,
         num_clients=config.clients,
         labels_per_client=config.labels_per_client,
         alpha=config.dirichlet_alpha,
         seed=_child_seed(config.seed, _PARTITION_STREAM),
     )
+    return records, plan, split_points(plan.sizes(), config.train_fraction)
 
 
 def build_data_and_plan(config: ExperimentConfig):
-    """The record-ordered dataset, features in memory, and its partition
-    plan; a run builds its store without this copy (``build_clients``)."""
-    data = _records(config, generate_synthetic)
-    return data, _plan(config, data.sectors)
+    """The benchmark's record-ordered view of a run's input: the dataset,
+    features in memory, and its partition plan, after run's split check.
+    A run builds its store without this copy (``build_clients``)."""
+    records, plan, _ = plan_clients(config)
+    return (records if config.data_csv else records.dataset()), plan
 
 
 def build_clients(config: ExperimentConfig):
-    """(None, plan, store): draw or load every record's label and sector,
-    partition them, then write the features once, straight into the
-    store of per-client temporal splits; synthetic features are streamed
-    and never held in record order. The store iterates over the clients
-    in id order. The first slot holds nothing; perfbench/child.py unpacks
-    three."""
-    records = _records(config, synthetic_records)
-    plan = _plan(config, records.sectors)
-    cuts = split_points(plan.sizes(), config.train_fraction)
+    """(None, plan, store): the set-up of ``plan_clients``, then the
+    features written once, straight into the store of per-client
+    temporal splits; synthetic features are streamed and never held in
+    record order. The store iterates over the clients in id order. The
+    first slot holds nothing; perfbench/child.py unpacks three."""
+    records, plan, cuts = plan_clients(config)
     return None, plan, ClientStore.build(records, plan, cuts)
 
 

@@ -13,18 +13,12 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import AggregationError
-from .sensitivity import ClientReport
+from .sensitivity import ClientReport, check_reports
 
 
 def aggregate_gradient(reports: list[ClientReport], total_n: int) -> np.ndarray:
     """Sample-count-weighted sum of client gradients, weights n_k/total_n."""
-    if not reports:
-        raise AggregationError("no client reports to aggregate")
-    if sum(r.n_k for r in reports) != total_n:
-        raise AggregationError(
-            f"report sizes sum to {sum(r.n_k for r in reports)}, expected {total_n}"
-        )
+    check_reports(reports, total_n)
     g = np.zeros_like(reports[0].gradient)
     for r in reports:
         g += (r.n_k / total_n) * r.gradient

@@ -34,11 +34,6 @@ class PartitionPlan:
         ascending; client k's run has length sizes()[k]."""
         return np.argsort(self.owner, kind="stable")
 
-    def records(self) -> list:
-        """Each client's ascending record indices, in id order, as views
-        of order()."""
-        return np.split(self.order(), np.cumsum(self.sizes())[:-1])
-
 
 def exdir_partition(
     sectors: np.ndarray,
@@ -101,7 +96,8 @@ def write_partition_csv(plan: PartitionPlan, path) -> None:
     """Export the plan as client_id,record_index rows, client by client in
     id order and each client's records ascending, ending each line with
     "\r\n" as csv.writer does."""
+    order, ends = plan.order(), np.cumsum(plan.sizes()).tolist()
     with open(path, "w", newline="", encoding="utf-8") as fh:
         fh.write("client_id,record_index\r\n")
-        for client, idx in enumerate(plan.records()):
-            fh.write("".join([f"{client},{r}\r\n" for r in idx.tolist()]))
+        for client, (a, b) in enumerate(zip([0, *ends], ends)):
+            fh.write("".join([f"{client},{r}\r\n" for r in order[a:b].tolist()]))

@@ -50,16 +50,21 @@ def client_report(
     )
 
 
+def check_reports(reports: list[ClientReport], total_n: int) -> None:
+    """AggregationError unless there are reports and their sizes sum to
+    total_n."""
+    if not reports:
+        raise AggregationError("no client reports to aggregate")
+    size_sum = sum(r.n_k for r in reports)
+    if size_sum != total_n:
+        raise AggregationError(f"report sizes sum to {size_sum}, expected {total_n}")
+
+
 def aggregate_sensitivity(
     reports: list[ClientReport], c: float, total_n: int
 ) -> np.ndarray:
     """Participation-weighted sensitivity sum_k (n_k/n)(I + (c/n_k) Gram_k)."""
-    if not reports:
-        raise AggregationError("no client reports to aggregate")
-    if sum(r.n_k for r in reports) != total_n:
-        raise AggregationError(
-            f"report sizes sum to {sum(r.n_k for r in reports)}, expected {total_n}"
-        )
+    check_reports(reports, total_n)
     p = reports[0].gram.shape[0]
     s = np.zeros((p, p))
     identity_mass = 0.0

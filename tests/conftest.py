@@ -21,6 +21,12 @@ def make_dataset(features, labels, sectors=None):
                           sectors=np.asarray(sectors, dtype=np.int64))
 
 
+def client_records(plan):
+    """Each client's ascending record indices, in id order: the plan's
+    order() cut at the running sum of its sizes()."""
+    return np.split(plan.order(), np.cumsum(plan.sizes())[:-1])
+
+
 def make_store(shards):
     """ClientStore of (train, test) dataset pairs: client k trains on
     shards[k][0] and tests on shards[k][1]."""

@@ -13,7 +13,7 @@ from riskfed.federation import ExperimentConfig, build_data_and_plan, run_experi
 from riskfed.partition import exdir_partition
 from riskfed.sensitivity import aggregate_sensitivity, central_update, client_report
 
-from conftest import make_dataset, run_cli
+from conftest import client_records, make_dataset, run_cli
 from oracles import (
     beta_quantile,
     distortion_risk,
@@ -305,7 +305,7 @@ def partition_failures(plan, data, labels_per_client):
         failures.append("client id out of range")
     if sizes.size != plan.num_clients or sizes.min() == 0:
         failures.append("a client holds no records")
-    for client, idx in enumerate(np.split(order, np.cumsum(sizes)[:-1])):
+    for client, idx in enumerate(client_records(plan)):
         if np.any(plan.owner[idx] != client):
             failures.append(f"client {client} lists another client's records")
         if np.any(np.diff(idx) <= 0):
@@ -336,7 +336,7 @@ def test_criterion_9_partition_validity():
     for sector in np.unique(data.sectors):
         group_total = int(np.count_nonzero(data.sectors == sector))
         sizes = [int(np.count_nonzero(data.sectors[idx] == sector))
-                 for idx in concentrated.records()
+                 for idx in client_records(concentrated)
                  if np.any(data.sectors[idx] == sector)]
         share = group_total / len(sizes)
         for size in sizes:

@@ -396,6 +396,21 @@ class TestMainPartitionReport:
         assert main(["run", "--config", str(config), "--out", str(tmp_path / "o")]) == 2
         assert capsys.readouterr().err == error
 
+    @pytest.mark.parametrize("records", ["synthetic", "data_csv"])
+    def test_report_writes_the_partition_of_run(self, tmp_path, records):
+        text = ("algorithm = fral_cse\nclients = 6\nsamples_per_client = 50\n"
+                "rounds = 1\nseed = 4\nd = 3\nnum_sectors = 3\nC = 2\nalpha = 5\n")
+        if records == "data_csv":
+            write_csv(generate_synthetic(240, 3, 3, seed=8), tmp_path / "records.csv")
+            text += f"data_csv = {tmp_path / 'records.csv'}\n"
+        config = write_config(tmp_path, text)
+        assert main(["partition-report", "--config", str(config),
+                     "--out", str(tmp_path / "report")]) == 0
+        assert main(["run", "--config", str(config), "--out", str(tmp_path / "runs")]) == 0
+        (run_dir,) = (tmp_path / "runs").iterdir()
+        assert ((tmp_path / "report" / "partition.csv").read_bytes()
+                == (run_dir / "partition.csv").read_bytes())
+
     @pytest.mark.parametrize("keys, error", [
         ("num_sectors = 2\nC = 3\n", "C must lie in [1, 2], got 3"),
         ("num_sectors = 3\n",

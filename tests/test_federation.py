@@ -22,7 +22,24 @@ from riskfed.metrics import write_metrics_csv
 from riskfed.sensitivity import client_report
 from riskfed.store import ClientState
 
-from conftest import make_dataset, make_store, run_python
+from conftest import client_records, make_dataset, make_store, run_python
+
+
+# The memory probes run on 100 x 500 records at d = 100: 40 MB of features.
+PROBE_FEATURE_BYTES = 100 * 500 * 100 * 8
+
+# A probe's status(key) reads a size in bytes from /proc/self/status.
+VM_STATUS = textwrap.dedent("""\
+    def status(key):
+        with open("/proc/self/status", encoding="ascii") as fh:
+            for line in fh:
+                if line.startswith(key + ":"):
+                    return int(line.split()[1]) * 1024
+
+    """)
+
+needs_vm_status = pytest.mark.skipif(not Path("/proc/self/status").is_file(),
+                                     reason="reads VmHWM from /proc/self/status")
 
 
 def config(**kw):
@@ -320,7 +337,7 @@ class TestBuildClients:
         data, _ = build_data_and_plan(cfg)
         _, plan, store = build_clients(cfg)
         assert [c.client_id for c in store] == list(range(7))
-        for client, idx in zip(store, plan.records()):
+        for client, idx in zip(store, client_records(plan)):
             train, test = temporal_split(data.subset(idx), cfg.train_fraction)
             for got, want in ((client.train, train), (client.test, test)):
                 np.testing.assert_array_equal(got.features, want.features)
@@ -347,20 +364,13 @@ class TestBuildClients:
                 assert np.shares_memory(shard.labels, whole.labels)
                 assert np.shares_memory(shard.sectors, whole.sectors)
 
-    @pytest.mark.skipif(not Path("/proc/self/status").is_file(),
-                        reason="reads VmHWM from /proc/self/status")
+    @needs_vm_status
     def test_build_clients_holds_the_features_once(self):
-        # 100 x 500 records at d = 100: 40 MB of features. The peak resident
-        # size may grow by at most 1.5 times that across build_clients; a
-        # record-ordered copy next to the store's would double it.
-        probe = textwrap.dedent("""\
+        # The peak resident size may grow by at most 1.5 times the features
+        # across build_clients; a record-ordered copy next to the store's
+        # would double it.
+        probe = VM_STATUS + textwrap.dedent("""\
             from riskfed.federation import ExperimentConfig, build_clients
-
-            def status(key):
-                with open("/proc/self/status", encoding="ascii") as fh:
-                    for line in fh:
-                        if line.startswith(key + ":"):
-                            return int(line.split()[1]) * 1024
 
             cfg = ExperimentConfig(algorithm="fral_cse", clients=100,
                                    samples_per_client=500, rounds=1, seed=1, d=100,
@@ -372,8 +382,41 @@ class TestBuildClients:
             """)
         proc = run_python("-c", probe)
         assert proc.returncode == 0, proc.stderr
-        grown, feature_bytes = int(proc.stdout), 100 * 500 * 100 * 8
-        assert grown <= 1.5 * feature_bytes, grown / feature_bytes
+        grown = int(proc.stdout)
+        assert grown <= 1.5 * PROBE_FEATURE_BYTES, grown / PROBE_FEATURE_BYTES
+
+    @needs_vm_status
+    def test_partition_report_draws_no_features(self, tmp_path):
+        # The report reads only the labels and sectors, so the peak
+        # resident size may grow by at most a quarter of the features
+        # across it; drawing them would hold all of their bytes.
+        config_path = tmp_path / "exp.conf"
+        config_path.write_text(
+            "algorithm = fral_cse\nclients = 100\nsamples_per_client = 500\n"
+            "rounds = 1\nseed = 1\nd = 100\nalpha = 100\n", encoding="utf-8")
+        probe = VM_STATUS + textwrap.dedent("""\
+            import contextlib, io, sys
+            from riskfed.cli import main
+
+            before = status("VmRSS")
+            with contextlib.redirect_stdout(io.StringIO()):
+                code = main(["partition-report", "--config", sys.argv[1]])
+            print(code, status("VmHWM") - before)
+            """)
+        proc = run_python("-c", probe, str(config_path))
+        assert proc.returncode == 0, proc.stderr
+        code, grown = map(int, proc.stdout.split())
+        assert code == 0
+        assert grown < 0.25 * PROBE_FEATURE_BYTES, grown / PROBE_FEATURE_BYTES
+
+    def test_build_data_and_plan_applies_the_split_check_of_run(self):
+        # the config of test_cli.py's test_split_check_of_run_applies
+        cfg = config(clients=4, samples_per_client=1, seed=1, d=4,
+                     dirichlet_alpha=100.0)
+        with pytest.raises(ConfigurationError) as caught:
+            build_data_and_plan(cfg)
+        assert str(caught.value) == (
+            "client 0: split of 1 records at fraction 0.8 leaves an empty side")
 
     def test_averaging_step_trains_on_each_survivors_shard(self, monkeypatch):
         cfg = config(algorithm="fedprox", mu=0.1, clients=6, samples_per_client=30,

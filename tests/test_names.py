@@ -5,7 +5,9 @@ A module-level function, class or constant, or a method that is not a
 dunder, counts as read when another part of the package names it in
 code (not in a string or a comment, and not only by importing it), when
 a perfbench script names it (the benchmark wraps some functions by their
-name as a string), or when README.md names it as a public helper.
+name as a string), or when README.md names it as a public helper. The
+README lists the names kept only for the benchmark, and that list must
+stay the set the benchmark alone names.
 """
 
 import ast
@@ -42,14 +44,12 @@ def reads(tree):
             yield node.attr, node.lineno, True
 
 
-def unread_names():
+def src_names():
+    """(module.qualified name, name, whether other src code reads it) for
+    each non-dunder name that src/riskfed defines."""
     modules = {path: ast.parse(path.read_text(encoding="utf-8"))
                for path in sorted(SRC.glob("*.py"))}
     uses = [(path, *use) for path, tree in modules.items() for use in reads(tree)]
-    outside = "\n".join(path.read_text(encoding="utf-8")
-                        for path in [*sorted((ROOT / "perfbench").glob("*.py")),
-                                     ROOT / "README.md"])
-    unread = []
     for path, tree in modules.items():
         for qualified, name, node, method in definitions(tree):
             if name.startswith("__") and name.endswith("__"):
@@ -58,10 +58,35 @@ def unread_names():
                 used == name and (attribute or not method)
                 and not (where == path and node.lineno <= line <= node.end_lineno)
                 for where, used, line, attribute in uses)
-            if not (read_in_src or re.search(rf"(?<!\w){re.escape(name)}(?!\w)", outside)):
-                unread.append(f"{path.stem}.{qualified}")
-    return unread
+            yield f"{path.stem}.{qualified}", name, read_in_src
+
+
+def named_in(name, text) -> bool:
+    return re.search(rf"(?<!\w){re.escape(name)}(?!\w)", text) is not None
+
+
+def perfbench_text() -> str:
+    return "\n".join(path.read_text(encoding="utf-8")
+                     for path in sorted((ROOT / "perfbench").glob("*.py")))
+
+
+def unread_names():
+    outside = perfbench_text() + "\n" + (ROOT / "README.md").read_text(encoding="utf-8")
+    return [qualified for qualified, name, read_in_src in src_names()
+            if not (read_in_src or named_in(name, outside))]
 
 
 def test_every_src_name_is_read():
     assert unread_names() == []
+
+
+def test_readme_lists_exactly_the_names_kept_for_the_benchmark():
+    """README's list of the src names that stay only because a perfbench
+    script names them, and that no src code reads, is that set."""
+    bench = perfbench_text()
+    kept = {qualified for qualified, name, read_in_src in src_names()
+            if not read_in_src and named_in(name, bench)}
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    start = readme.index("These names stay in `src` only because")
+    listed = set(re.findall(r"`(\w+\.\w+)`", readme[start:readme.index("\n\n", start)]))
+    assert listed == kept

@@ -7,7 +7,7 @@ from riskfed.data import generate_synthetic
 from riskfed.errors import PartitionError
 from riskfed.partition import PartitionPlan, exdir_partition, write_partition_csv
 
-from conftest import make_dataset
+from conftest import client_records, make_dataset
 from oracles import exdir_plan
 
 
@@ -33,7 +33,7 @@ class TestExdirPartition:
         data = sectored_dataset([8, 7])
         plan = exdir_partition(data.sectors, num_clients=2, labels_per_client=1,
                                alpha=1.0, seed=3)
-        owned_sectors = [set(data.sectors[idx]) for idx in plan.records()]
+        owned_sectors = [set(data.sectors[idx]) for idx in client_records(plan)]
         assert sorted(len(s) for s in owned_sectors) == [1, 1]
         assert owned_sectors[0] != owned_sectors[1]
         assert sorted(plan.sizes().tolist()) == [7, 8]
@@ -44,7 +44,7 @@ class TestExdirPartition:
         plan = exdir_partition(data.sectors, num_clients=4, labels_per_client=1,
                                alpha=1.0, seed=42)
         expected = exdir_plan(data.sectors, 4, 1, 1.0, 42)
-        assert [idx.tolist() for idx in plan.records()] == expected
+        assert [idx.tolist() for idx in client_records(plan)] == expected
 
     def test_deterministic(self):
         data = sectored_dataset([30, 30, 30])
@@ -59,7 +59,7 @@ class TestExdirPartition:
         for sector in (0, 1):
             sizes = [
                 int(np.count_nonzero(data.sectors[idx] == sector))
-                for idx in plan.records()
+                for idx in client_records(plan)
                 if np.any(data.sectors[idx] == sector)
             ]
             group_total = int(np.count_nonzero(data.sectors == sector))
@@ -69,7 +69,7 @@ class TestExdirPartition:
     def test_temporal_order_within_client(self):
         data = sectored_dataset([50, 50, 50], seed=3)
         plan = exdir_partition(data.sectors, 6, 2, 1.0, seed=13)
-        for idx in plan.records():
+        for idx in client_records(plan):
             assert np.all(np.diff(idx) > 0)
 
     def test_insufficient_coverage_rejected(self):
@@ -101,7 +101,7 @@ class TestValidatePartition:
         assert sizes.size == 4 and sizes.min() > 0
         assert sum(sizes) == len(data)
         np.testing.assert_array_equal(np.sort(plan.order()), np.arange(len(data)))
-        for client, idx in enumerate(plan.records()):
+        for client, idx in enumerate(client_records(plan)):
             assert np.all(plan.owner[idx] == client)
             assert np.all(np.diff(idx) > 0)
 
@@ -124,7 +124,7 @@ def test_partition_invariants(sectors, num_clients, labels_per_client, alpha, se
     sizes = plan.sizes()
     assert sizes.min() > 0 and sizes.sum() == len(data)
     assert sorted(plan.order().tolist()) == list(range(len(data)))
-    for client, idx in enumerate(plan.records()):
+    for client, idx in enumerate(client_records(plan)):
         assert np.all(plan.owner[idx] == client)
         assert np.all(np.diff(idx) > 0)
         assert np.unique(data.sectors[idx]).size <= labels_per_client
@@ -139,7 +139,7 @@ def test_plan_equals_replay_oracle(sectors, num_clients, labels_per_client, alph
     data = make_dataset(np.zeros((len(sectors), 2)), np.ones(len(sectors)), sectors)
     try:
         plan = exdir_partition(data.sectors, num_clients, labels_per_client, alpha, seed)
-        got = [idx.tolist() for idx in plan.records()]
+        got = [idx.tolist() for idx in client_records(plan)]
     except PartitionError:
         got = None
     assert got == exdir_plan(sectors, num_clients, labels_per_client, alpha, seed)
