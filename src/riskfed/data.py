@@ -46,11 +46,6 @@ class LabeledDataset:
     def dim(self) -> int:
         return self.features.shape[1]
 
-    def subset(self, indices) -> "LabeledDataset":
-        """Row subset in the given index order."""
-        idx = np.asarray(indices, dtype=np.int64)
-        return LabeledDataset(self.features[idx], self.labels[idx], self.sectors[idx])
-
     def rows(self, start: int, stop: int) -> "LabeledDataset":
         """Rows start:stop as views of this dataset's arrays, not copies."""
         return LabeledDataset(
@@ -323,7 +318,7 @@ def temporal_split(
     data: LabeledDataset, fraction: float
 ) -> tuple[LabeledDataset, LabeledDataset]:
     """(train, test): the first floor(fraction*n) records train, the rest
-    test; no shuffling."""
+    test; no shuffling. Both are row views of data, not copies."""
     n = len(data)
     cut = int(split_points([n], fraction)[0])
-    return data.subset(np.arange(cut)), data.subset(np.arange(cut, n))
+    return data.rows(0, cut), data.rows(cut, n)

@@ -20,8 +20,8 @@ from .data import LabeledDataset
 from .errors import AggregationError, DataError, NumericalError
 
 #: Default damping added to the sensitivity matrix before solving. The
-#: identity part of S already sums to the participating sample mass, so
-#: this only needs to cover partial-participation shrinkage.
+#: system S = I + (c/n) J^T J over the survivors is already at least I,
+#: so this is only a numerical guard.
 DEFAULT_EPSILON = 1e-3
 
 

@@ -132,11 +132,8 @@ class ClientStore:
         """The clients in id order."""
         bounds = zip(self.train_starts.tolist(), self.train_sizes.tolist(),
                      self.test_starts.tolist(), self.test_sizes.tolist())
-        return (self._client(cid, *b) for cid, b in enumerate(bounds))
-
-    def _client(self, cid, a, n, b, m) -> ClientState:
-        """Client cid with train rows a:a+n and test rows b:b+m."""
-        return ClientState(cid, self.train.rows(a, a + n), self.test.rows(b, b + m))
+        return (ClientState(cid, self.train.rows(a, a + n), self.test.rows(b, b + m))
+                for cid, (a, n, b, m) in enumerate(bounds))
 
     def evaluate(self, w: np.ndarray, beta: float, c: float) -> TrainPass:
         """Risks, tail thresholds, tail-active rows and losses at w."""

@@ -338,7 +338,8 @@ class TestBuildClients:
         _, plan, store = build_clients(cfg)
         assert [c.client_id for c in store] == list(range(7))
         for client, idx in zip(store, client_records(plan)):
-            train, test = temporal_split(data.subset(idx), cfg.train_fraction)
+            records = make_dataset(data.features[idx], data.labels[idx], data.sectors[idx])
+            train, test = temporal_split(records, cfg.train_fraction)
             for got, want in ((client.train, train), (client.test, test)):
                 np.testing.assert_array_equal(got.features, want.features)
                 np.testing.assert_array_equal(got.labels, want.labels)

@@ -57,7 +57,7 @@ class TestLocalLoss:
     def test_empty_dataset_rejected(self, dataset_factory):
         data = dataset_factory([[1.0, 0.0]], [1])
         with pytest.raises(DataError):
-            client_report(np.zeros(3), data.subset([]), beta=0.5, c=1.0)
+            client_report(np.zeros(3), data.rows(0, 0), beta=0.5, c=1.0)
 
 
 class TestLocalGradient:
