@@ -255,8 +255,8 @@ def run_artifacts(out):
 
 def test_criterion_8_run_determinism(tmp_path):
     # fral_cse's central step runs products large enough for OpenBLAS to
-    # split across threads, so its case guards the one-thread pin, with
-    # OPENBLAS_NUM_THREADS at 1, at 2 and unset (the library's default).
+    # split across threads, so its case guards the one-thread pin at
+    # OPENBLAS_NUM_THREADS 1 and 2 (test_cli checks the unset default).
     # OpenBLAS does not split fedprox's per-client matrix-vector products,
     # so that case guards reruns, the retired workers line and any batched
     # local step to come, not the pin.
@@ -281,13 +281,13 @@ def test_criterion_8_run_determinism(tmp_path):
             runs[label] = run_artifacts(out)
         # an in-process run takes the BLAS threads the test process's
         # environment sets, so both thread counts run in subprocesses
-        for threads in ("1", "2", None):
+        for threads in ("1", "2"):
             out = tmp_path / f"{name}-threads{threads}"
             proc = run_cli("run", "--config", str(plain), "--out", str(out),
                            env_vars={"OPENBLAS_NUM_THREADS": threads,
                                      "GOTO_NUM_THREADS": None, "OMP_NUM_THREADS": None})
             assert proc.returncode == 0, proc.stderr
-            runs[f"rerun with OPENBLAS_NUM_THREADS {threads or 'unset'}"] = run_artifacts(out)
+            runs[f"rerun at {threads} BLAS thread(s)"] = run_artifacts(out)
         reference = runs.pop("rerun")
         failures += [f"{name}: {label} differs" for label, blobs in runs.items()
                      if blobs != reference]

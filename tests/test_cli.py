@@ -155,6 +155,25 @@ class TestMainRun:
         assert names == ["metrics.csv", "partition.csv", "resolved_config.txt",
                          "weights.csv"]
 
+    def test_bytes_do_not_depend_on_blas_threads(self, tmp_path):
+        # unpinned, OpenBLAS at 2 threads or its default summed this
+        # config's products in another order than at 1 thread
+        config = write_config(tmp_path, (
+            "algorithm = fral_cse\nclients = 10\nsamples_per_client = 500\n"
+            "d = 130\nrounds = 3\nseed = 1\nnum_sectors = 1\nsignal = 3.0\n"
+            "alpha = 10\nepsilon = 2.0\n"))
+        artifacts = {}
+        for threads in ("2", "1", None):
+            out = tmp_path / f"threads-{threads}"
+            proc = run_cli("run", "--config", str(config), "--out", str(out),
+                           env_vars={"OPENBLAS_NUM_THREADS": threads,
+                                     "GOTO_NUM_THREADS": None, "OMP_NUM_THREADS": None})
+            assert proc.returncode == 0, proc.stderr
+            run_dir = next(out.iterdir())
+            artifacts[threads] = [(run_dir / name).read_bytes()
+                                  for name in ("metrics.csv", "weights.csv")]
+        assert artifacts["2"] == artifacts["1"] == artifacts[None]
+
     def test_run_twice_identical_metrics(self, tmp_path):
         config = write_config(tmp_path)
         blobs = []
