@@ -41,14 +41,15 @@ def _words(value: int) -> list[int]:
 
 
 class _Hash:
-    """SeedSequence's hashmix with its running constant."""
+    """SeedSequence's hash with its running constant: hashmix with
+    (_INIT_A, _MULT_A), generate_state's output hash with (_INIT_B, _MULT_B)."""
 
-    def __init__(self):
-        self.const = _INIT_A
+    def __init__(self, init: int, mult: int):
+        self.const, self.mult = init, mult
 
     def __call__(self, value: np.ndarray) -> np.ndarray:
         value = value ^ np.uint32(self.const)
-        self.const = (self.const * _MULT_A) & _MASK32
+        self.const = (self.const * self.mult) & _MASK32
         value = value * np.uint32(self.const)
         return value ^ (value >> np.uint32(_XSHIFT))
 
@@ -61,7 +62,7 @@ def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 def _pool(entropy: list[np.ndarray]) -> list[np.ndarray]:
     """SeedSequence.mix_entropy on columns of uint32 words."""
     n = entropy[0].shape
-    hashmix = _Hash()
+    hashmix = _Hash(_INIT_A, _MULT_A)
     pool = [hashmix(entropy[i] if i < len(entropy) else np.zeros(n, np.uint32))
             for i in range(_POOL_SIZE)]
     for src in range(_POOL_SIZE):
@@ -76,13 +77,8 @@ def _pool(entropy: list[np.ndarray]) -> list[np.ndarray]:
 
 def _state_words(pool: list[np.ndarray]) -> list[np.ndarray]:
     """SeedSequence.generate_state(4, np.uint64) as four uint64 columns."""
-    const = _INIT_B
-    words = []
-    for i in range(8):
-        value = pool[i % _POOL_SIZE] ^ np.uint32(const)
-        const = (const * _MULT_B) & _MASK32
-        value = value * np.uint32(const)
-        words.append(value ^ (value >> np.uint32(_XSHIFT)))
+    out_hash = _Hash(_INIT_B, _MULT_B)
+    words = [out_hash(pool[i % _POOL_SIZE]) for i in range(8)]
     return [words[2 * i].astype(np.uint64)
             | (words[2 * i + 1].astype(np.uint64) << np.uint64(32))
             for i in range(4)]

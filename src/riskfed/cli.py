@@ -93,10 +93,12 @@ def _write_weights_csv(weights, path) -> None:
 
 def _out_dir(out) -> Path:
     """--out as a path whose nearest existing part is a directory, so the
-    artifacts can be written there once the work is done."""
+    artifacts can be written there once the work is done; a symlink is an
+    existing part even if it leads nowhere, as mkdir finds it."""
     path = Path(out)
     try:
-        existing = next(p for p in (path, *path.parents) if p.exists())
+        existing = next(p for p in (path, *path.parents)
+                        if p.is_symlink() or p.exists())
     except OSError as exc:  # such as a component longer than the system allows
         raise ConfigurationError(f"--out {out}: {exc.strerror or exc}") from None
     if not existing.is_dir():

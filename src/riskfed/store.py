@@ -54,7 +54,7 @@ class TrainPass:
     active_starts: np.ndarray  # (K,) where each client's run of active_rows starts
     active_counts: np.ndarray  # (K,) tail-active rows per client
     losses: np.ndarray  # (K,) 0.5*||w||^2 + (c/n_k) * hinge_k
-    train_loss: float  # sum_k (n_k/n) * losses[k], added in client order
+    train_loss: float  # sum_k (n_k/n) * losses[k], added left to right by id
 
     def tail_rows(self, clients) -> np.ndarray:
         """Store rows of the given clients' tail-active rows, client by
@@ -179,9 +179,7 @@ class ClientStore:
                 hinge[ids] = np.add.reduce(
                     excess[active_starts[ids][:, None] + np.arange(m)], axis=1)
         losses = 0.5 * float(w @ w) + (c / sizes) * hinge
-        train_loss = 0.0
-        for term in (sizes / labels.size * losses).tolist():
-            train_loss += term
+        train_loss = float(np.add.accumulate(sizes / labels.size * losses)[-1])
         return TrainPass(w=w, q=q, active_rows=active_rows, active_starts=active_starts,
                          active_counts=active_counts, losses=losses,
                          train_loss=train_loss)

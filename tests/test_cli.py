@@ -227,6 +227,21 @@ class TestMainRun:
         assert proc.stderr == f"error: --out {out}: {out} is not a directory\n"
         assert out.read_text(encoding="utf-8") == "kept\n"
 
+    @pytest.mark.parametrize("below", [False, True])
+    @pytest.mark.parametrize("command", ["run", "partition-report"])
+    def test_out_through_a_dangling_symlink_exit_code_two(self, tmp_path, capsys,
+                                                          command, below):
+        # the records do not exist: building the data first would exit 3
+        config = write_config(tmp_path, MINIMAL + f"data_csv = {tmp_path / 'no.csv'}\n")
+        target = tmp_path / "missing" / "dir"
+        link = tmp_path / "link"
+        link.symlink_to(target)
+        out = link / "sub" if below else link
+        assert main([command, "--config", str(config), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: --out {out}: {link} is not a directory\n"
+        assert link.is_symlink() and os.readlink(link) == str(target)
+        assert not (tmp_path / "missing").exists()
+
     @pytest.mark.parametrize("command", ["run", "partition-report"])
     def test_out_with_an_over_long_name_exit_code_two(self, tmp_path, command):
         # the records do not exist: building the data first would exit 3

@@ -1,3 +1,4 @@
+import json
 import textwrap
 from pathlib import Path
 
@@ -267,6 +268,45 @@ class TestFedproxRound:
 
 
 class TestRunExperiment:
+    @pytest.mark.skipif(not Path("/proc/self/maps").is_file(),
+                        reason="finds the OpenBLAS libraries in /proc/self/maps")
+    def test_run_pins_every_openblas_to_one_thread(self):
+        # numpy's and scipy's OpenBLAS each start with the two threads the
+        # environment asks for; a run must leave every one of them at one
+        probe = textwrap.dedent("""\
+            import ctypes, json
+            from riskfed.federation import ExperimentConfig, run_experiment
+
+            GETTERS = ("scipy_openblas_get_num_threads64_",
+                       "scipy_openblas_get_num_threads", "openblas_get_num_threads")
+
+            def blas_threads():
+                # each OpenBLAS in /proc/self/maps, with its thread count
+                with open("/proc/self/maps", encoding="utf-8") as fh:
+                    paths = {line.split()[-1] for line in fh
+                             if "openblas" in line.lower()}
+                counts = {}
+                for path in sorted(paths):
+                    lib = ctypes.CDLL(path)
+                    for symbol in GETTERS:
+                        if hasattr(lib, symbol):
+                            counts[path] = getattr(lib, symbol)()
+                            break
+                return counts
+
+            before = blas_threads()
+            run_experiment(ExperimentConfig(algorithm="fral_cse", clients=2,
+                                            samples_per_client=20, rounds=1, seed=0, d=2))
+            print(json.dumps([before, blas_threads()]))
+            """)
+        proc = run_python("-c", probe, env_vars={"OPENBLAS_NUM_THREADS": "2",
+                                                 "GOTO_NUM_THREADS": None,
+                                                 "OMP_NUM_THREADS": None})
+        assert proc.returncode == 0, proc.stderr
+        before, after = json.loads(proc.stdout)
+        assert after, "no OpenBLAS found"
+        assert set(after.values()) == {1}, (before, after)
+
     def test_zero_rounds(self):
         cfg = config(clients=3, samples_per_client=30, rounds=0, seed=4)
         result = run_experiment(cfg)

@@ -216,6 +216,13 @@ def test_evaluate_layout_cases(beta):
         assert np.any((counts >= 8) & (counts <= 128))
 
 
+def test_evaluate_train_loss_adds_clients_in_order():
+    # with thousands of terms a pairwise sum (np.sum) rounds differently
+    # from check_evaluate's sequential one
+    store, w = random_store([1 + k % 12 for k in range(2000)], 5, seed=3)
+    check_evaluate(store, w, 0.5, 1.0)
+
+
 def survivor_tail(store, w, beta, survivors):
     """Store rows and features of the survivors' tail-active rows, from the
     per-client kernel's risks and q, client by client in id order."""
