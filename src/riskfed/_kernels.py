@@ -48,20 +48,16 @@ def client_eval(features, labels, w, beta, c):
     m = int(np.count_nonzero(active))
     hinge = float(np.sum(risks[active] - q))
     scale = c / n
-    if m:
-        xa = features[active]
-        ya = labels[active]
-        jac_sum = np.empty(d + 1)
-        jac_sum[:d] = xa.T @ ya
-        jac_sum[d] = float(ya.sum())
-        grad = w - scale * jac_sum
-        xb = np.empty((m, d + 1))
-        xb[:, :d] = xa
-        xb[:, d] = 1.0
-        gram = xb.T @ xb
-    else:
-        grad = w.copy()
-        gram = np.zeros((d + 1, d + 1))
+    xa = features[active]
+    ya = labels[active]
+    jac_sum = np.empty(d + 1)
+    jac_sum[:d] = xa.T @ ya
+    jac_sum[d] = float(ya.sum())
+    grad = w - scale * jac_sum
+    xb = np.empty((m, d + 1))
+    xb[:, :d] = xa
+    xb[:, d] = 1.0
+    gram = xb.T @ xb
     loss = 0.5 * float(w @ w) + scale * hinge
     return loss, grad, gram, m, float(q)
 
@@ -82,10 +78,9 @@ def local_sgd(features, labels, w0, anchor, beta, c, epochs, lr, mu):
         q = np.partition(risks, k - 1)[k - 1]
         idx = np.flatnonzero(risks > q)
         g = w + mu * (w - anchor)
-        if idx.size:
-            xa = features.take(idx, axis=0)
-            ya = labels.take(idx)
-            g[:d] -= scale * (xa.T @ ya)
-            g[d] -= scale * float(ya.sum())
+        xa = features.take(idx, axis=0)
+        ya = labels.take(idx)
+        g[:d] -= scale * (xa.T @ ya)
+        g[d] -= scale * float(ya.sum())
         w = w - lr * g
     return w

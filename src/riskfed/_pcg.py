@@ -121,12 +121,11 @@ def first_uniforms(words: list[int], keys) -> np.ndarray:
     entropy.append(keys.astype(np.uint32))
     with np.errstate(over="ignore"):
         seed_hi, seed_lo, inc_hi, inc_lo = _state_words(_pool(entropy))
-        # pcg_setseq_128_srandom_r: inc = 2*initseq + 1, state = 0
+        # pcg_setseq_128_srandom_r: inc = 2*initseq + 1; state 0 steps to inc
         inc = ((inc_hi << np.uint64(1)) | (inc_lo >> np.uint64(63)),
                (inc_lo << np.uint64(1)) | np.uint64(1))
-        state = _step((np.zeros_like(inc[0]), np.zeros_like(inc[1])), inc)
-        lo = state[1] + seed_lo
-        hi = state[0] + seed_hi + (lo < seed_lo).astype(np.uint64)
+        lo = inc[1] + seed_lo
+        hi = inc[0] + seed_hi + (lo < seed_lo).astype(np.uint64)
         state = _step(_step((hi, lo), inc), inc)
     # XSL-RR output, then the top 53 bits as a double in [0, 1)
     hi, lo = state

@@ -4,15 +4,19 @@ Configs are flat ``key = value`` text (one per line; ``#`` starts a
 comment at the start of a line or after whitespace, so ``a#b`` in a path
 is kept). Unknown keys are rejected so typos cannot silently fall back
 to defaults. Every successful run directory contains exactly four
-files: resolved_config.txt, metrics.csv, weights.csv, partition.csv.
+files: resolved_config.txt, metrics.csv, weights.csv, partition.csv; it
+is written under a hidden name and renamed into place, so a failed write
+leaves no run directory.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import re
+import shutil
 import sys
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from dataclasses import MISSING
 from datetime import datetime, timezone
 from pathlib import Path
@@ -108,11 +112,19 @@ def _out_dir(out) -> Path:
 
 
 @contextmanager
-def _writing(out):
-    """An OSError from writing under --out, as a configuration error."""
+def _writing(out, target: Path):
+    """A hidden sibling of target to write into, renamed to target at the
+    end, so target is left whole or as it was. An OSError removes the
+    sibling and is reported as a configuration error."""
+    part = target.with_name(f".{target.name}.part")
     try:
-        yield
+        target.parent.mkdir(parents=True, exist_ok=True)
+        yield part
+        os.replace(part, target)
     except OSError as exc:
+        shutil.rmtree(part, ignore_errors=True)  # a run directory
+        with suppress(OSError):  # a file
+            part.unlink()
         reason = exc.strerror or exc
         raise ConfigurationError(f"--out {out}: cannot write: {reason}") from None
 
@@ -123,13 +135,13 @@ def _cmd_run(args) -> int:
     stamp = datetime.now(timezone.utc).strftime("%Y%m%dT%H%M%S%f")
     result = run_experiment(config)
     run_dir = out / f"{stamp}-seed{config.seed}"
-    with _writing(args.out):
-        run_dir.mkdir(parents=True)
-        (run_dir / "resolved_config.txt").write_text(resolved_config_text(config),
-                                                     encoding="utf-8")
-        write_metrics_csv(result.records, run_dir / "metrics.csv")
-        _write_weights_csv(result.final_weights, run_dir / "weights.csv")
-        write_partition_csv(result.plan, run_dir / "partition.csv")
+    with _writing(args.out, run_dir) as part:
+        part.mkdir()
+        (part / "resolved_config.txt").write_text(resolved_config_text(config),
+                                                  encoding="utf-8")
+        write_metrics_csv(result.records, part / "metrics.csv")
+        _write_weights_csv(result.final_weights, part / "weights.csv")
+        write_partition_csv(result.plan, part / "partition.csv")
     print(run_dir)
     return 0
 
@@ -145,9 +157,8 @@ def _cmd_partition_report(args) -> int:
     out_dir = _out_dir(args.out) if args.out else None
     records, plan, _ = plan_clients(config)
     if out_dir is not None:
-        with _writing(args.out):
-            out_dir.mkdir(parents=True, exist_ok=True)
-            write_partition_csv(plan, out_dir / "partition.csv")
+        with _writing(args.out, out_dir / "partition.csv") as part:
+            write_partition_csv(plan, part)
     groups, group_of = np.unique(records.sectors, return_inverse=True)
     counts = np.bincount(plan.owner * groups.size + group_of,
                          minlength=plan.num_clients * groups.size)

@@ -174,10 +174,9 @@ class ClientStore:
         # row-wise reduce runs the pairwise sum on each row of length m
         hinge = np.zeros(len(sizes))
         for m in np.unique(active_counts).tolist():
-            if m:
-                ids = np.flatnonzero(active_counts == m)
-                hinge[ids] = np.add.reduce(
-                    excess[active_starts[ids][:, None] + np.arange(m)], axis=1)
+            ids = np.flatnonzero(active_counts == m)
+            hinge[ids] = np.add.reduce(
+                excess[active_starts[ids][:, None] + np.arange(m)], axis=1)
         losses = 0.5 * float(w @ w) + (c / sizes) * hinge
         train_loss = float(np.add.accumulate(sizes / labels.size * losses)[-1])
         return TrainPass(w=w, q=q, active_rows=active_rows, active_starts=active_starts,

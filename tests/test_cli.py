@@ -29,6 +29,34 @@ def write_config(tmp_path, text=MINIMAL, name="exp.conf"):
     return path
 
 
+def tree(root):
+    """Each path under root -> its bytes, or None for a directory."""
+    return {str(p.relative_to(root)): None if p.is_dir() else p.read_bytes()
+            for p in root.rglob("*")}
+
+
+class DiskFull:
+    """A text file opened as ``open`` would open it, whose first write
+    reaches the disk and whose later writes fail with ENOSPC."""
+
+    def __init__(self, *args, **kwargs):
+        self.fh = open(*args, **kwargs)
+        self.written = False
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info):
+        self.fh.close()
+
+    def write(self, text):
+        if self.written:
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+        self.fh.write(text)
+        self.fh.flush()
+        self.written = True
+
+
 class TestParseConfig:
     def test_minimal_config_fully_defaulted(self, tmp_path):
         cfg = parse_config(write_config(tmp_path))
@@ -55,6 +83,11 @@ class TestParseConfig:
     def test_comments_and_blank_lines(self, tmp_path):
         text = "# experiment\n\n" + MINIMAL + "beta = 0.6  # tail level\n"
         assert parse_config(write_config(tmp_path, text)).beta == 0.6
+
+    def test_line_without_equals_sign_exit_code_two(self, tmp_path, capsys):
+        path = write_config(tmp_path, MINIMAL.replace("clients = 3", "clients 3"))
+        assert main(["validate", "--config", str(path)]) == 2
+        assert capsys.readouterr().err == f"error: {path}:2: expected 'key = value'\n"
 
     def test_unknown_key_with_line_number(self, tmp_path):
         path = write_config(tmp_path, MINIMAL + "betaa = 0.8\n")
@@ -269,6 +302,26 @@ class TestMainRun:
         assert main([command, "--config", str(config), "--out", str(out)]) == 2
         assert capsys.readouterr().err == (
             f"error: --out {out}: cannot write: {os.strerror(errno.EACCES)}\n")
+
+    @pytest.mark.parametrize("command", ["run", "partition-report"])
+    def test_failed_write_leaves_out_as_it_was(self, tmp_path, capsys, monkeypatch,
+                                               command):
+        # the disk fills after the first line of partition.csv, the last
+        # artifact run writes: no part of a run directory may be left, and
+        # an earlier report's partition.csv must not be cut short
+        out = tmp_path / "out"
+        if command == "partition-report":
+            earlier = write_config(tmp_path, MINIMAL.replace("seed = 7", "seed = 8"),
+                                   name="earlier.conf")
+            assert main([command, "--config", str(earlier), "--out", str(out)]) == 0
+            capsys.readouterr()
+        before = tree(out)
+        monkeypatch.setattr("riskfed.partition.open", DiskFull, raising=False)
+        config = write_config(tmp_path)
+        assert main([command, "--config", str(config), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: --out {out}: cannot write: {os.strerror(errno.ENOSPC)}\n")
+        assert tree(out) == before
 
     @pytest.mark.parametrize("command", ["run", "partition-report"])
     def test_config_too_large_for_memory_exit_code_two(self, tmp_path, capsys, command):

@@ -36,6 +36,8 @@ class TestQuantileRank:
     @example(2**40, 5e-324)
     @example(1, 1 - 2**-53)
     @example(2**40, 1 - 2**-53)
+    @example(3, float(np.nextafter(1 / 3, 1)))  # 3 * beta is 1.0: repaired up
+    @example(25, 0.28)  # 25 * 0.28 is 7.000000000000001: repaired down
     def test_rank_in_range_for_every_beta_in_the_open_interval(self, n, beta):
         k = _kernels.quantile_rank(n, beta)
         assert 1 <= k <= n
@@ -76,6 +78,16 @@ class TestNumpyBackendAgainstComposition:
             np.testing.assert_allclose(grad, expected_grad, atol=1e-12)
             expected_gram = xb[mask].T @ xb[mask]
             np.testing.assert_allclose(gram, expected_gram, atol=1e-12)
+
+    def test_client_eval_with_an_empty_tail(self):
+        # equal rows have equal risks, so none lies above q: the gradient is
+        # w minus (c/n) times +0.0, which keeps every bit of w, -0.0 too
+        features, labels = np.ones((4, 2)), np.ones(4)
+        w = np.array([-0.0, 1.5, -2.0])
+        _, grad, gram, active, _ = _kernels.client_eval(features, labels, w, 0.5, 1.0)
+        assert active == 0
+        assert grad.tobytes() == w.tobytes()
+        assert gram.tobytes() == np.zeros((3, 3)).tobytes()
 
     def test_local_sgd_matches_manual_loop(self):
         rng = np.random.default_rng(11)

@@ -6,8 +6,8 @@ Runs ``python -m riskfed.cli`` once per config below, each in a fresh
 process at one BLAS thread, on the riskfed that PYTHONPATH finds, and
 prints one ``name file sha256`` line per artifact: ``run``'s
 metrics.csv, weights.csv, partition.csv and resolved_config.txt for the
-eleven RUNS, and ``partition-report``'s standard output and partition.csv
-for the four REPORTS, 52 lines in all. To compare two checkouts, run this
+twelve RUNS, and ``partition-report``'s standard output and partition.csv
+for the four REPORTS, 56 lines in all. To compare two checkouts, run this
 script once with each one's ``src`` on PYTHONPATH and diff the two outputs.
 
 The wide_fral, many_clients and fedprox_csv configs and the fedprox_csv
@@ -67,6 +67,14 @@ RUNS = {
     "many_clients_fedavg": workload("many_clients", algorithm="fedavg"),
     "many_clients_fedprox": workload("many_clients", algorithm="fedprox", mu=0.1,
                                      local_epochs=5),
+    # 9 or 10 train rows at beta = 0.9: most tails, in evaluation and in
+    # local training, hold no row
+    "fedprox_empty_tail": {
+        "algorithm": "fedprox", "clients": 40, "samples_per_client": 12,
+        "rounds": 10, "seed": 1, "d": 5, "num_sectors": 1, "alpha": 10,
+        "beta": 0.9, "mu": 0.1, "local_epochs": 3, "participation_rate": 0.75,
+        "dropout_rate": 0.2,
+    },
 }
 REPORTS = ("quickstart", "wide_fral", "many_clients", "fedprox_csv")
 RUN_FILES = ("metrics.csv", "weights.csv", "partition.csv", "resolved_config.txt")
