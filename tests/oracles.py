@@ -8,12 +8,14 @@ q is the smallest risk whose empirical CDF reaches beta. The tail is the
 set of samples whose risk strictly exceeds q; the distortion measure is
 the average risk over that tail, and the hinge surrogate is the mean
 positive part of (risk - q). The tail objective is the L2 regularizer
-plus c (1 - beta) times the CVaR of the risks.
+plus c (1 - beta) times the CVaR of the risks. A linear system is solved
+exactly in rational arithmetic.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
@@ -193,3 +195,19 @@ def synthetic_features(n: int, d: int, num_sectors: int, seed: int, signal: floa
     noise = rng.standard_normal((n, d))
     shift = signal * means[sectors] * labels[:, None]
     return noise + shift, labels, sectors
+
+
+def exact_solve(a, b) -> list[Fraction]:
+    """The exact solution of a x = b for the float entries of a and b, by
+    Gauss-Jordan elimination in rational arithmetic."""
+    rows = [[Fraction(float(v)) for v in row] + [Fraction(float(rhs))]
+            for row, rhs in zip(np.asarray(a), np.asarray(b))]
+    p = len(rows)
+    for col in range(p):
+        pivot = next(r for r in range(col, p) if rows[r][col] != 0)
+        rows[col], rows[pivot] = rows[pivot], rows[col]
+        for r in range(p):
+            if r != col and rows[r][col] != 0:
+                factor = rows[r][col] / rows[col][col]
+                rows[r] = [v - factor * u for v, u in zip(rows[r], rows[col])]
+    return [rows[i][p] / rows[i][i] for i in range(p)]

@@ -1,0 +1,45 @@
+"""pin_one_thread's fallbacks: no maps file, and an OpenBLAS that does not
+load."""
+
+import io
+
+import pytest
+
+from riskfed import _blas
+
+
+def test_without_maps_file_nothing_is_pinned(monkeypatch):
+    def no_maps(*args, **kwargs):
+        raise OSError("no /proc/self/maps")
+
+    loaded = []
+    monkeypatch.setattr(_blas, "open", no_maps, raising=False)
+    monkeypatch.setattr(_blas.ctypes, "CDLL", loaded.append)
+    _blas.pin_one_thread()
+    assert loaded == []
+
+
+def test_unloadable_library_is_skipped_and_the_rest_pinned(monkeypatch, tmp_path):
+    broken = tmp_path / "libopenblas-broken.so"
+    broken.write_bytes(b"not a shared object")
+    good = "/usr/lib/libopenblas-good.so"
+    maps = "".join(f"7f00-7f01 r-xp 00000000 08:01 {i} {path}\n"
+                   for i, path in enumerate((broken, good, "/usr/lib/libc.so.6")))
+    pinned = []
+
+    class Library:
+        def openblas_set_num_threads(self, n):
+            pinned.append(n)
+
+    real_cdll = _blas.ctypes.CDLL
+
+    def cdll(path):
+        return Library() if path == good else real_cdll(path)
+
+    with pytest.raises(OSError):
+        real_cdll(str(broken))
+    monkeypatch.setattr(_blas, "open", lambda *a, **k: io.StringIO(maps),
+                        raising=False)
+    monkeypatch.setattr(_blas.ctypes, "CDLL", cdll)
+    _blas.pin_one_thread()
+    assert pinned == [1]

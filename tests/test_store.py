@@ -277,3 +277,12 @@ def test_first_uniforms_random_words(seed, rnd, keys):
 def test_first_uniforms_rejects_multiword_keys():
     with pytest.raises(ValueError):
         first_uniforms([1], [2**32])
+
+
+def test_first_uniforms_rejects_negative_words():
+    # SeedSequence rejects negative entropy too; -1 >> 32 is -1, so
+    # splitting it into uint32 words would never end
+    with pytest.raises(ValueError):
+        np.random.default_rng([-1, 0])
+    with pytest.raises(ValueError, match="nonnegative"):
+        first_uniforms([-1], [0])
