@@ -2,7 +2,8 @@
 
 All kernels take C-contiguous float64 arrays: ``features`` of shape
 (n, d), ``labels`` of shape (n,) with values in {-1, +1}, and weight
-vectors of length d+1 (bias last).
+vectors of length d+1, bias last: the score of x is <w[:d], x> + w[d],
+and regularization and curvature treat every coordinate uniformly.
 """
 
 from __future__ import annotations

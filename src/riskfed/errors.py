@@ -27,11 +27,3 @@ class NumericalError(ExperimentError):
 
     exit_code = 4
 
-
-class PartitionError(ConfigurationError):
-    """Partition could not satisfy its invariants, e.g. a client left
-    without records; the message names the client, its sectors and alpha."""
-
-
-class AggregationError(ExperimentError):
-    """Client report weights are inconsistent with the claimed total."""

@@ -35,7 +35,6 @@ from .data import load_csv, split_points, synthetic_records
 from .data import generate_synthetic, temporal_split  # noqa: F401
 from .errors import ConfigurationError, ExperimentError, NumericalError
 from .metrics import RoundRecord, accuracy
-from .model import init_weights
 from .partition import PartitionPlan, exdir_partition
 from .store import ClientStore, TrainPass
 
@@ -81,7 +80,9 @@ class ExperimentConfig:
     dirichlet_alpha: float = _key(lambda v: v > 0, "> 0", default=1.0, name="alpha")
     beta: float = _key(lambda v: 0 < v < 1, "in (0, 1)", default=0.8)
     c: float = _key(lambda v: v >= 0, ">= 0", default=1.0)
-    epsilon: float = _key(lambda v: v >= 0, ">= 0", default=sensitivity.DEFAULT_EPSILON)
+    # S = I + (c/n) J^T J over the survivors is already at least I, so the
+    # damping added before the solve is only a numerical guard
+    epsilon: float = _key(lambda v: v >= 0, ">= 0", default=1e-3)
     participation_rate: float = _key(lambda v: 0 < v <= 1, "in (0, 1]", default=1.0)
     dropout_rate: float = _key(lambda v: 0 <= v < 1, "in [0, 1)", default=0.0)
     local_epochs: int | None = _key(lambda v: v >= 0, ">= 0", default=None)
@@ -273,6 +274,11 @@ def build_clients(config: ExperimentConfig):
     first slot holds nothing; perfbench/child.py unpacks three."""
     records, plan, cuts = plan_clients(config)
     return None, plan, ClientStore.build(records, plan, cuts)
+
+
+def init_weights(d: int, seed: int) -> np.ndarray:
+    """Seeded uniform initialization in [-0.01, 0.01], length d+1."""
+    return np.random.default_rng(seed).uniform(-0.01, 0.01, size=d + 1)
 
 
 def run_experiment(config: ExperimentConfig) -> ExperimentResult:

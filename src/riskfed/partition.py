@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import PartitionError
+from .errors import ConfigurationError
 
 
 @dataclass(frozen=True)
@@ -47,10 +47,10 @@ def exdir_partition(
     groups, group_sizes = np.unique(sectors, return_counts=True)
     g = groups.size
     if labels_per_client > g:
-        raise PartitionError(f"C must lie in [1, {g}], got {labels_per_client}")
+        raise ConfigurationError(f"C must lie in [1, {g}], got {labels_per_client}")
     if num_clients * labels_per_client < g:
-        raise PartitionError(f"C = {labels_per_client} with {num_clients} clients cannot "
-                             f"cover {g} sector groups; raise C or clients")
+        raise ConfigurationError(f"C = {labels_per_client} with {num_clients} clients "
+                                 f"cannot cover {g} sector groups; raise C or clients")
 
     rng = np.random.default_rng(seed)
     slots = np.arange(num_clients * labels_per_client).reshape(num_clients, -1)
@@ -76,17 +76,17 @@ def exdir_partition(
     return plan
 
 
-def _starved(client, groups, mine, group_sizes, held_by, alpha) -> PartitionError:
+def _starved(client, groups, mine, group_sizes, held_by, alpha) -> ConfigurationError:
     """Why client, which holds the group indices mine, received no
     records, and what to change."""
     where = " and ".join(f"sector {s}" for s in groups[mine].tolist())
     for j in mine.tolist():
         if group_sizes[j] < held_by[j]:
-            return PartitionError(
+            return ConfigurationError(
                 f"client {client} received zero records from {where}: sector "
                 f"{groups[j]} holds {group_sizes[j]} records for {held_by[j]} "
                 f"clients; use fewer clients or more records")
-    return PartitionError(
+    return ConfigurationError(
         f"client {client} received zero records from {where} at alpha = "
         f"{alpha!r}; raise alpha for more even Dirichlet shares, or retry with "
         f"a new seed")

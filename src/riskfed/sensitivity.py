@@ -17,12 +17,7 @@ import scipy.linalg
 
 from . import _kernels
 from .data import LabeledDataset
-from .errors import AggregationError, DataError, NumericalError
-
-#: Default damping added to the sensitivity matrix before solving. The
-#: system S = I + (c/n) J^T J over the survivors is already at least I,
-#: so this is only a numerical guard.
-DEFAULT_EPSILON = 1e-3
+from .errors import DataError, NumericalError
 
 
 @dataclass(frozen=True)
@@ -51,13 +46,12 @@ def client_report(
 
 
 def check_reports(reports: list[ClientReport], total_n: int) -> None:
-    """AggregationError unless there are reports and their sizes sum to
-    total_n."""
+    """ValueError unless there are reports and their sizes sum to total_n."""
     if not reports:
-        raise AggregationError("no client reports to aggregate")
+        raise ValueError("no client reports to aggregate")
     size_sum = sum(r.n_k for r in reports)
     if size_sum != total_n:
-        raise AggregationError(f"report sizes sum to {size_sum}, expected {total_n}")
+        raise ValueError(f"report sizes sum to {size_sum}, expected {total_n}")
 
 
 def aggregate_sensitivity(

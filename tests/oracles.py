@@ -1,7 +1,7 @@
-"""Reference oracles for the tests: the linear score, its Jacobian row,
-the empirical risk distribution with its tail threshold and tail
-measures, the partition plan and the synthetic generator, written from
-their definitions and independent of the code they check.
+"""Reference oracles for the tests: the linear score, the empirical risk
+distribution with its tail threshold and tail measures, the partition
+plan and the synthetic generator, written from their definitions and
+independent of the code they check: nothing here imports riskfed.
 
 A risk vector holds one risk per sample at fixed weights. The threshold
 q is the smallest risk whose empirical CDF reaches beta. The tail is the
@@ -19,14 +19,12 @@ from fractions import Fraction
 
 import numpy as np
 
-from riskfed.errors import ConfigurationError, DataError
-
 
 def _check_dims(w: np.ndarray, x: np.ndarray) -> None:
     if w.ndim != 1 or x.ndim != 1:
-        raise ConfigurationError("weights and features must be 1-D vectors")
+        raise ValueError("weights and features must be 1-D vectors")
     if w.shape[0] != x.shape[0] + 1:
-        raise ConfigurationError(
+        raise ValueError(
             f"weight length {w.shape[0]} does not match feature length "
             f"{x.shape[0]} + 1 bias"
         )
@@ -38,17 +36,6 @@ def predict(w: np.ndarray, x: np.ndarray) -> float:
     x = np.asarray(x, dtype=np.float64)
     _check_dims(w, x)
     return float(w[:-1] @ x + w[-1])
-
-
-def jacobian_row(w: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Gradient of the score w.r.t. the weights: [x; 1] for the linear model."""
-    w = np.asarray(w, dtype=np.float64)
-    x = np.asarray(x, dtype=np.float64)
-    _check_dims(w, x)
-    row = np.empty(w.shape[0])
-    row[:-1] = x
-    row[-1] = 1.0
-    return row
 
 
 @dataclass(frozen=True)
@@ -63,19 +50,19 @@ class TailThreshold:
 def _as_risks(risks) -> np.ndarray:
     risks = np.asarray(risks, dtype=np.float64)
     if risks.ndim != 1 or risks.size == 0:
-        raise DataError("risk vector must be nonempty and 1-D")
+        raise ValueError("risk vector must be nonempty and 1-D")
     return risks
 
 
 def _check_beta(beta: float) -> None:
     if not 0.0 < beta < 1.0:
-        raise ConfigurationError(f"beta must lie in (0, 1), got {beta}")
+        raise ValueError(f"beta must lie in (0, 1), got {beta}")
 
 
 def sample_risk(w: np.ndarray, x: np.ndarray, y: float) -> float:
     """Per-sample risk -y * f(w, x); negative iff the score sign matches y."""
     if y not in (-1, 1):
-        raise DataError(f"label must be -1 or +1, got {y!r}")
+        raise ValueError(f"label must be -1 or +1, got {y!r}")
     return -float(y) * predict(w, x)
 
 

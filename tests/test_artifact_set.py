@@ -3,6 +3,7 @@ that riskfed accepts, whose hashes on the backend named in
 tools/artifact_set.sha256 are the ones that file holds."""
 
 import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -29,6 +30,20 @@ def test_config_validates(name, tmp_path, capsys):
     assert main(["validate", "--config", str(config)]) == 0
     reads_records = "data_csv = records.csv\n" in capsys.readouterr().out
     assert reads_records == (name in artifact_set.CSV_RUNS)
+
+
+def test_importing_the_tool_leaves_the_blas_pin_unset():
+    """perfbench/run.py pins the BLAS through os.environ when it is imported;
+    importing the tool, which imports it, leaves the pin's variables as they
+    were, so a test session and its subprocesses keep their thread counts."""
+    pin = sorted(artifact_set.bench.PIN)
+    env = {k: v for k, v in os.environ.items() if k not in pin}
+    code = ("import os, sys; sys.path.insert(0, 'tools'); import artifact_set; "
+            f"print([k for k in {pin!r} if k in os.environ])")
+    proc = subprocess.run([sys.executable, "-c", code], cwd=artifact_set.ROOT, env=env,
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 # a quick run of each algorithm and one report, for another backend

@@ -27,6 +27,7 @@ from riskfed.sensitivity import client_report
 from riskfed.store import ClientState
 
 from conftest import client_records, make_dataset, make_store, run_python
+from oracles import exact_solve
 
 
 # The memory probes run on 100 x 500 records at d = 100: 40 MB of features.
@@ -65,22 +66,6 @@ def run_round(w, clients, cfg, round_index):
     after, record = _ROUND_FN[cfg.algorithm](store.evaluate(w, cfg.beta, cfg.c), store,
                                              cfg, round_index)
     return after.w, record
-
-
-def det3(a):
-    return (a[0, 0] * (a[1, 1] * a[2, 2] - a[1, 2] * a[2, 1])
-            - a[0, 1] * (a[1, 0] * a[2, 2] - a[1, 2] * a[2, 0])
-            + a[0, 2] * (a[1, 0] * a[2, 1] - a[1, 1] * a[2, 0]))
-
-
-def cramer3(a, b):
-    d = det3(a)
-    out = np.empty(3)
-    for j in range(3):
-        m = a.copy()
-        m[:, j] = b
-        out[j] = det3(m) / d
-    return out
 
 
 # one out-of-range value per config key: key -> (ExperimentConfig field,
@@ -232,7 +217,7 @@ class TestFralRound:
         grad = client_report(w, clients[0].train, beta=0.5, c=1.0).gradient
         jac = np.array([-2.0, 0.0, 1.0])
         s = np.eye(3) + 0.5 * np.outer(jac, jac)
-        step = cramer3(s + 0.5 * np.eye(3), grad)
+        step = np.array(exact_solve(s + 0.5 * np.eye(3), grad), dtype=float)
         w_next, _ = run_round(w, clients, cfg, round_index=1)
         np.testing.assert_allclose(w_next, w - step, atol=1e-12)
 

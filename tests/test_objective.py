@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from riskfed import _kernels
-from riskfed.errors import AggregationError, DataError
+from riskfed.errors import DataError
 from riskfed.objective import aggregate_gradient
 from riskfed.sensitivity import ClientReport, client_report
 
@@ -147,7 +147,7 @@ class TestAggregateGradient:
         np.testing.assert_allclose(out, [-1.0])
 
     def test_weight_mismatch_rejected(self):
-        with pytest.raises(AggregationError):
+        with pytest.raises(ValueError):
             aggregate_gradient([report_with([1.0], 2)], 3)
 
     def test_identical_gradients_average_to_same(self):

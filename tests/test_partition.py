@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from riskfed.data import generate_synthetic
-from riskfed.errors import PartitionError
+from riskfed.errors import ConfigurationError
 from riskfed.partition import PartitionPlan, exdir_partition, write_partition_csv
 
 from conftest import client_records, make_dataset
@@ -74,19 +74,19 @@ class TestExdirPartition:
 
     def test_insufficient_coverage_rejected(self):
         data = sectored_dataset([5, 5, 5])
-        with pytest.raises(PartitionError):
+        with pytest.raises(ConfigurationError):
             exdir_partition(data.sectors, num_clients=2, labels_per_client=1,
                             alpha=1.0, seed=0)
 
     def test_labels_per_client_above_group_count(self):
         data = sectored_dataset([5, 5])
-        with pytest.raises(PartitionError):
+        with pytest.raises(ConfigurationError):
             exdir_partition(data.sectors, 2, 3, 1.0, seed=0)
 
     def test_zero_record_client_rejected(self):
         # one record in a group shared by two clients starves one of them
         data = sectored_dataset([1])
-        with pytest.raises(PartitionError, match="holds 1 records for 2 clients"):
+        with pytest.raises(ConfigurationError, match="holds 1 records for 2 clients"):
             exdir_partition(data.sectors, num_clients=2, labels_per_client=1,
                             alpha=1.0, seed=0)
 
@@ -116,7 +116,7 @@ def test_partition_invariants(sectors, num_clients, labels_per_client, alpha, se
     data = make_dataset(np.zeros((len(sectors), 2)), np.ones(len(sectors)), sectors)
     try:
         plan = exdir_partition(data.sectors, num_clients, labels_per_client, alpha, seed)
-    except PartitionError:
+    except ConfigurationError:
         return
     assert plan.num_clients == num_clients
     assert plan.owner.shape == (len(data),)
@@ -140,7 +140,7 @@ def test_plan_equals_replay_oracle(sectors, num_clients, labels_per_client, alph
     try:
         plan = exdir_partition(data.sectors, num_clients, labels_per_client, alpha, seed)
         got = [idx.tolist() for idx in client_records(plan)]
-    except PartitionError:
+    except ConfigurationError:
         got = None
     assert got == exdir_plan(sectors, num_clients, labels_per_client, alpha, seed)
 
