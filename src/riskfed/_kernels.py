@@ -63,21 +63,30 @@ def client_eval(features, labels, w, beta, c):
     return loss, grad, gram, m, float(q)
 
 
-def local_sgd(features, labels, w0, anchor, beta, c, epochs, lr, mu):
+def local_sgd(features, labels, w0, anchor, beta, c, epochs, lr, mu, tail=None):
     """Full-batch gradient descent on the tail-penalized local objective.
 
-    Each epoch recomputes risks and the tail threshold at the current
-    weights, then takes one step. ``mu`` adds a proximal pull toward
-    ``anchor`` (zero for plain averaging clients).
+    Each epoch takes one step from the rows whose risk at the current
+    weights exceeds their beta-quantile q. ``mu`` adds a proximal pull
+    toward ``anchor`` (zero for plain averaging clients). ``tail``, if
+    given, holds the ascending rows whose risk at ``w0`` exceeds q, as an
+    evaluation at ``w0`` found them: the first epoch steps from those
+    rows and scores none. Without it every epoch scores the rows.
     """
     n, d = features.shape
-    w = w0.copy()
+    w = w0
     k = quantile_rank(n, beta)
     scale = c / n
-    for _ in range(epochs):
-        risks = -labels * linear_scores(features, w)
-        q = np.partition(risks, k - 1)[k - 1]
-        idx = np.flatnonzero(risks > q)
+    neg = -labels
+    risks = np.empty(n)
+    for epoch in range(epochs):
+        idx = tail
+        if epoch or tail is None:
+            np.matmul(features, w[:d], out=risks)
+            risks += w[d]
+            risks *= neg
+            q = np.partition(risks, k - 1)[k - 1]
+            idx = np.flatnonzero(risks > q)
         g = w + mu * (w - anchor)
         xa = features.take(idx, axis=0)
         ya = labels.take(idx)

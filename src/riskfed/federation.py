@@ -13,9 +13,10 @@ each straight to its row of the store, so a synthetic run never holds
 its features in record order. Each round starts from the store's
 evaluation at the broadcast weights and ends with the one evaluation at
 the new weights, which gives the round's train loss and starts the next
-round. All algorithms share that round; only the step from the survivors
-to the new weights differs: the curvature step of fral_cse, or the
-averaging step of fedprox, of which fedavg is the case mu = 0.
+round; its tails also give the next round's first local epoch. All
+algorithms share that round; only the step from the survivors to the new
+weights differs: the curvature step of fral_cse, or the averaging step
+of fedprox, of which fedavg is the case mu = 0.
 """
 
 from __future__ import annotations
@@ -175,21 +176,30 @@ def _fral_step(state: TrainPass, store: ClientStore, config, survivors):
 def _averaging_step(state: TrainPass, store: ClientStore, config, survivors):
     """Local full-batch descent with the proximal pull mu*(w - w_t), then the
     size-weighted mean (fedavg is mu = 0), each survivor on a slice of the
-    store's train rows; with no local epoch the weights stay as broadcast."""
+    store's train rows; with no local epoch the weights stay as broadcast.
+    Each survivor's first epoch steps from its tail in ``state``, the
+    evaluation at w_t, so only the later epochs score rows."""
     w = state.w
     if config.local_epochs == 0:
         return w
     features, labels = store.train.features, store.train.labels
-    total_n = int(store.train_sizes[survivors].sum())
-    w_next = np.zeros_like(w)
-    for cid in survivors.tolist():
-        a, n = int(store.train_starts[cid]), int(store.train_sizes[cid])
+    starts = store.train_starts[survivors]
+    counts = state.active_counts[survivors]
+    # every survivor's tail-active rows, counted from its shard's first row
+    tails = state.tail_rows(survivors) - np.repeat(starts, counts)
+    ends = np.cumsum(counts).tolist()
+    sizes = store.train_sizes[survivors].tolist()
+    total_n = sum(sizes)
+    # row i+1 holds survivor i's weighted term; the accumulate adds them left
+    # to right onto 0.0, as w_next += term would in survivor order
+    terms = np.zeros((len(sizes) + 1, w.size))
+    for i, (a, n, e, m) in enumerate(zip(starts.tolist(), sizes, ends, counts.tolist())):
         local_w = _kernels.local_sgd(
             features[a:a + n], labels[a:a + n], w, w, config.beta, config.c,
-            config.local_epochs, config.local_lr, config.mu,
+            config.local_epochs, config.local_lr, config.mu, tails[e - m:e],
         )
-        w_next += (n / total_n) * local_w
-    return w_next
+        terms[i + 1] = (n / total_n) * local_w
+    return np.add.accumulate(terms)[-1]
 
 
 def _round(state: TrainPass, store: ClientStore, config, round_index, step):

@@ -100,4 +100,6 @@ def write_partition_csv(plan: PartitionPlan, path) -> None:
     with open(path, "w", newline="", encoding="utf-8") as fh:
         fh.write("client_id,record_index\r\n")
         for client, (a, b) in enumerate(zip([0, *ends], ends)):
-            fh.write("".join([f"{client},{r}\r\n" for r in order[a:b].tolist()]))
+            if b > a:  # a client without records writes no line
+                fh.write(f"{client}," + f"\r\n{client},".join(map(str, order[a:b].tolist()))
+                         + "\r\n")

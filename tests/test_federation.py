@@ -6,6 +6,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from riskfed import _kernels
 from riskfed._pcg import first_uniforms
@@ -517,7 +519,7 @@ class TestBuildClients:
         local_sgd = _kernels.local_sgd
 
         def recorded(features, labels, *args):
-            seen.append((features, labels))
+            seen.append((features, labels, args[7]))
             return local_sgd(features, labels, *args)
 
         monkeypatch.setattr(_kernels, "local_sgd", recorded)
@@ -526,7 +528,50 @@ class TestBuildClients:
         _averaging_step(state, store, cfg, survivors)
         assert len(seen) == survivors.size
         clients = list(store)
-        for cid, (features, labels) in zip(survivors.tolist(), seen):
+        for cid, (features, labels, tail) in zip(survivors.tolist(), seen):
             shard = clients[cid].train
             assert features.__array_interface__ == shard.features.__array_interface__
             assert labels.__array_interface__ == shard.labels.__array_interface__
+            # the first epoch's tail is the evaluation's, in rows of the shard
+            expected = state.tail_rows([cid]) - store.train_starts[cid]
+            assert tail.tobytes() == expected.tobytes()
+
+
+def averaging_step_from_scratch(state, store, config, survivors):
+    """The averaging step as a plain loop: each survivor's local_sgd scores
+    its rows in every epoch, and w_next += (n/total_n) * w_i runs in
+    survivor-id order."""
+    w = state.w
+    if config.local_epochs == 0:
+        return w
+    total_n = int(store.train_sizes[survivors].sum())
+    w_next = np.zeros_like(w)
+    for cid in survivors.tolist():
+        a, n = int(store.train_starts[cid]), int(store.train_sizes[cid])
+        w_next += (n / total_n) * _kernels.local_sgd(
+            store.train.features[a:a + n], store.train.labels[a:a + n], w, w,
+            config.beta, config.c, config.local_epochs, config.local_lr, config.mu)
+    return w_next
+
+
+@settings(max_examples=60, deadline=None)
+@given(clients=st.integers(1, 7), samples=st.sampled_from([12, 20]),
+       seed=st.integers(0, 3), mu=st.sampled_from([0.0, 0.1, 0.7]),
+       epochs=st.integers(0, 5), beta=st.sampled_from([0.5, 0.8, 0.9]),
+       w_seed=st.integers(0, 2**32 - 1), data=st.data())
+def test_averaging_step_equals_the_from_scratch_loop(clients, samples, seed, mu, epochs,
+                                                    beta, w_seed, data):
+    # alpha 100 gives near-equal shards, so train sizes repeat; 12 records
+    # a client leave 8 to 11 train rows, and at beta = 0.9 a shard of 9 or
+    # fewer rows has an empty tail
+    cfg = config(algorithm="fedprox" if mu else "fedavg", mu=mu, clients=clients,
+                 samples_per_client=samples, seed=seed, d=3, dirichlet_alpha=100.0,
+                 beta=beta, local_epochs=epochs, local_lr=0.3)
+    _, _, store = build_clients(cfg)
+    survivors = np.array(sorted(data.draw(
+        st.sets(st.integers(0, clients - 1), min_size=1))), dtype=np.int64)
+    w = np.random.default_rng(w_seed).standard_normal(4)
+    state = store.evaluate(w, beta, cfg.c)
+    got = _averaging_step(state, store, cfg, survivors)
+    expected = averaging_step_from_scratch(state, store, cfg, survivors)
+    assert got.tobytes() == expected.tobytes()

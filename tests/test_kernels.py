@@ -108,6 +108,16 @@ class TestNumpyBackendAgainstComposition:
                 g = g - (c / n) * (xb[mask].T @ labels[mask])
             w = w - lr * g
         np.testing.assert_allclose(got, w, atol=1e-12)
+        # handed the tail at w0, the kernel steps from it in the first epoch
+        risks = -labels * (xb @ w0)
+        tail = np.flatnonzero(risks > beta_quantile(risks, beta))
+        given_tail = _kernels.local_sgd(features, labels, w0, anchor, beta, c,
+                                        epochs, lr, mu, tail)
+        assert given_tail.tobytes() == got.tobytes()
+        # and uses it as given: without one of its rows the result moves
+        wrong = _kernels.local_sgd(features, labels, w0, anchor, beta, c,
+                                   epochs, lr, mu, tail[1:])
+        assert np.abs(wrong - got).max() > 1e-6
 
 
 @settings(max_examples=200, deadline=None)

@@ -1,3 +1,6 @@
+import csv
+import io
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -165,3 +168,25 @@ def test_partition_csv_bytes(tmp_path):
     write_partition_csv(plan, path)
     assert path.read_bytes() == (b"client_id,record_index\r\n"
                                  b"0,1\r\n0,4\r\n1,3\r\n2,0\r\n2,2\r\n2,5\r\n")
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_partition_csv_matches_csv_writer(tmp_path_factory, data):
+    """Random owners, among them a client of one record and a client of
+    none, write the bytes of csv.writer's rows in the documented order."""
+    num_clients = data.draw(st.integers(3, 8))
+    single, empty = data.draw(st.lists(st.integers(0, num_clients - 1),
+                                       min_size=2, max_size=2, unique=True))
+    others = [k for k in range(num_clients) if k not in (single, empty)]
+    owner = data.draw(st.lists(st.sampled_from(others), max_size=60))
+    owner.insert(data.draw(st.integers(0, len(owner))), single)
+    plan = PartitionPlan(owner=np.array(owner, dtype=np.int64), num_clients=num_clients)
+    path = tmp_path_factory.mktemp("plan") / "plan.csv"
+    write_partition_csv(plan, path)
+    expected = io.StringIO()
+    writer = csv.writer(expected)
+    writer.writerow(["client_id", "record_index"])
+    for client in range(num_clients):
+        writer.writerows([client, r] for r, k in enumerate(owner) if k == client)
+    assert path.read_bytes() == expected.getvalue().encode("utf-8")
