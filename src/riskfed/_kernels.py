@@ -63,15 +63,15 @@ def client_eval(features, labels, w, beta, c):
     return loss, grad, gram, m, float(q)
 
 
-def local_sgd(features, labels, w0, anchor, beta, c, epochs, lr, mu, tail=None):
+def local_sgd(features, labels, w0, anchor, beta, c, epochs, lr, mu, tail):
     """Full-batch gradient descent on the tail-penalized local objective.
 
     Each epoch takes one step from the rows whose risk at the current
     weights exceeds their beta-quantile q. ``mu`` adds a proximal pull
-    toward ``anchor`` (zero for plain averaging clients). ``tail``, if
-    given, holds the ascending rows whose risk at ``w0`` exceeds q, as an
-    evaluation at ``w0`` found them: the first epoch steps from those
-    rows and scores none. Without it every epoch scores the rows.
+    toward ``anchor`` (zero for plain averaging clients). ``tail`` holds
+    the ascending rows whose risk at ``w0`` exceeds q, as an evaluation at
+    ``w0`` found them: the first epoch steps from those rows and scores
+    none, and each later epoch scores the rows at its weights.
     """
     n, d = features.shape
     w = w0
@@ -80,16 +80,15 @@ def local_sgd(features, labels, w0, anchor, beta, c, epochs, lr, mu, tail=None):
     neg = -labels
     risks = np.empty(n)
     for epoch in range(epochs):
-        idx = tail
-        if epoch or tail is None:
+        if epoch:
             np.matmul(features, w[:d], out=risks)
             risks += w[d]
             risks *= neg
             q = np.partition(risks, k - 1)[k - 1]
-            idx = np.flatnonzero(risks > q)
+            tail = np.flatnonzero(risks > q)
         g = w + mu * (w - anchor)
-        xa = features.take(idx, axis=0)
-        ya = labels.take(idx)
+        xa = features.take(tail, axis=0)
+        ya = labels.take(tail)
         g[:d] -= scale * (xa.T @ ya)
         g[d] -= scale * float(ya.sum())
         w = w - lr * g

@@ -150,16 +150,18 @@ def apply_dropout(
 ) -> np.ndarray:
     """Drop each participant independently with probability rate.
 
+    ``participants`` holds ascending int64 client ids, as
+    ``sample_participants`` draws them; the survivors keep that order.
     Participant cid survives when the first uniform of
     ``np.random.default_rng([seed, round_index, 5, cid])`` is at least
     rate; all participants are drawn in one vectorized pass. Every
-    uniform is at least 0, so at rate 0 nothing is drawn.
+    uniform is at least 0, so at rate 0 nothing is drawn and
+    ``participants`` itself comes back.
     """
-    participants = np.asarray(participants, dtype=np.int64)
     if rate == 0:
-        return np.sort(participants)
+        return participants
     draws = first_uniforms([seed, round_index, _DROPOUT_STREAM], participants)
-    return np.sort(participants[draws >= rate])
+    return participants[draws >= rate]
 
 
 def _fral_step(state: TrainPass, store: ClientStore, config, survivors):
@@ -174,11 +176,11 @@ def _fral_step(state: TrainPass, store: ClientStore, config, survivors):
 
 
 def _averaging_step(state: TrainPass, store: ClientStore, config, survivors):
-    """Local full-batch descent with the proximal pull mu*(w - w_t), then the
-    size-weighted mean (fedavg is mu = 0), each survivor on a slice of the
-    store's train rows; with no local epoch the weights stay as broadcast.
-    Each survivor's first epoch steps from its tail in ``state``, the
-    evaluation at w_t, so only the later epochs score rows."""
+    """Local full-batch descent with the proximal pull mu*(w - w_t), each
+    survivor on a slice of the store's train rows, then the size-weighted
+    mean (fedavg is mu = 0), added in survivor order from 0.0; with no local
+    epoch the weights stay as broadcast. Each survivor's first epoch steps
+    from its tail in ``state``, the evaluation at w_t."""
     w = state.w
     if config.local_epochs == 0:
         return w
@@ -190,16 +192,13 @@ def _averaging_step(state: TrainPass, store: ClientStore, config, survivors):
     ends = np.cumsum(counts).tolist()
     sizes = store.train_sizes[survivors].tolist()
     total_n = sum(sizes)
-    # row i+1 holds survivor i's weighted term; the accumulate adds them left
-    # to right onto 0.0, as w_next += term would in survivor order
-    terms = np.zeros((len(sizes) + 1, w.size))
-    for i, (a, n, e, m) in enumerate(zip(starts.tolist(), sizes, ends, counts.tolist())):
-        local_w = _kernels.local_sgd(
+    w_next = np.zeros_like(w)
+    for a, n, e, m in zip(starts.tolist(), sizes, ends, counts.tolist()):
+        w_next += (n / total_n) * _kernels.local_sgd(
             features[a:a + n], labels[a:a + n], w, w, config.beta, config.c,
             config.local_epochs, config.local_lr, config.mu, tails[e - m:e],
         )
-        terms[i + 1] = (n / total_n) * local_w
-    return np.add.accumulate(terms)[-1]
+    return w_next
 
 
 def _round(state: TrainPass, store: ClientStore, config, round_index, step):
@@ -296,7 +295,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     _blas.pin_one_thread()
     _, plan, store = build_clients(config)
     w0 = init_weights(store.train.dim, _child_seed(config.seed, _INIT_STREAM))
-    state = store.evaluate(w0.copy(), config.beta, config.c)
+    state = store.evaluate(w0, config.beta, config.c)
     round_fn = _ROUND_FN[config.algorithm]
     records = []
     # a diverging run overflows before the per-round guard names its round;

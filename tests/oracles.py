@@ -90,6 +90,14 @@ def tail_threshold(risks, beta: float) -> TailThreshold:
     return TailThreshold(q=q, beta=beta, tail_indices=indices)
 
 
+def tail_rows(features, labels, w, beta: float) -> np.ndarray:
+    """The ascending rows of a shard whose risk -y (<w[:d], x> + w[d]) at w
+    strictly exceeds the shard's beta-quantile."""
+    d = features.shape[1]
+    risks = -labels * (features @ w[:d] + w[d])
+    return np.flatnonzero(risks > beta_quantile(risks, beta))
+
+
 def distortion_risk(risks, beta: float) -> float:
     """Average risk over the tail; returns q itself when the tail is empty."""
     risks = _as_risks(risks)

@@ -1,6 +1,7 @@
 """The benchmark wraps riskfed's functions by name from outside
 (``perfbench/child.py``); every name it wraps or reads must exist."""
 
+import inspect
 import json
 import os
 import subprocess
@@ -30,6 +31,16 @@ def test_round_table_and_identity_names():
     assert callable(federation.build_clients)
     assert callable(federation.apply_dropout)
     assert isinstance(_kernels.BACKEND, str)
+
+
+def test_local_sgd_parameters_the_benchmark_reads_by_position():
+    # child.py counts a local_sgd call's rows as len(a[0]) * a[6]
+    params = inspect.signature(_kernels.local_sgd).parameters
+    names = list(params)
+    assert names[0] == "features"
+    assert names[6] == "epochs"
+    # the first epoch always takes its tail from the caller: no default
+    assert params["tail"].default is inspect.Parameter.empty
 
 
 @pytest.mark.parametrize("algorithm", ["fral_cse", "fedprox"])

@@ -29,7 +29,7 @@ from riskfed.sensitivity import client_report
 from riskfed.store import ClientState
 
 from conftest import client_records, make_dataset, make_store, run_python
-from oracles import exact_solve
+from oracles import exact_solve, tail_rows
 
 
 # The memory probes run on 100 x 500 records at d = 100: 40 MB of features.
@@ -186,6 +186,25 @@ class TestApplyDropout:
             got = apply_dropout(participants, rate, rnd, seed)
             assert got.dtype == np.int64
             np.testing.assert_array_equal(got, expected)
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data(), seed=st.one_of(st.integers(0, 2**32 - 1),
+                                      st.integers(2**40, 2**64 - 1)),
+       rnd=st.integers(1, 1000), rate=st.sampled_from([0.0, 0.1, 0.5, 0.9]))
+def test_apply_dropout_keeps_each_generators_survivors_in_order(data, seed, rnd, rate):
+    # the input contract: ascending int64 ids, as sample_participants draws
+    k = data.draw(st.integers(1, 60))
+    participants = np.array(sorted(data.draw(st.sets(st.integers(0, k - 1)))),
+                            dtype=np.int64)
+    got = apply_dropout(participants, rate, rnd, seed)
+    expected = [cid for cid in participants.tolist()
+                if np.random.default_rng([seed, rnd, 5, cid]).random() >= rate]
+    assert got.dtype == np.int64
+    # expected keeps the participants' ascending order
+    assert got.tolist() == expected
+    if rate == 0:
+        assert got is participants
 
 
 def find_all_drop_round(cfg):
@@ -538,9 +557,9 @@ class TestBuildClients:
 
 
 def averaging_step_from_scratch(state, store, config, survivors):
-    """The averaging step as a plain loop: each survivor's local_sgd scores
-    its rows in every epoch, and w_next += (n/total_n) * w_i runs in
-    survivor-id order."""
+    """The averaging step as a plain loop: each survivor's local_sgd starts
+    from its shard's tail at w, scored from the shard alone, and
+    w_next += (n/total_n) * w_i runs in survivor-id order."""
     w = state.w
     if config.local_epochs == 0:
         return w
@@ -548,9 +567,10 @@ def averaging_step_from_scratch(state, store, config, survivors):
     w_next = np.zeros_like(w)
     for cid in survivors.tolist():
         a, n = int(store.train_starts[cid]), int(store.train_sizes[cid])
+        features, labels = store.train.features[a:a + n], store.train.labels[a:a + n]
         w_next += (n / total_n) * _kernels.local_sgd(
-            store.train.features[a:a + n], store.train.labels[a:a + n], w, w,
-            config.beta, config.c, config.local_epochs, config.local_lr, config.mu)
+            features, labels, w, w, config.beta, config.c, config.local_epochs,
+            config.local_lr, config.mu, tail_rows(features, labels, w, config.beta))
     return w_next
 
 

@@ -4,7 +4,7 @@ from hypothesis import strategies as st
 
 from riskfed import _kernels
 
-from oracles import beta_quantile, empirical_cdf, tail_threshold
+from oracles import beta_quantile, empirical_cdf, tail_rows, tail_threshold
 
 
 def random_shard(rng, n=None, d=None):
@@ -93,28 +93,30 @@ class TestNumpyBackendAgainstComposition:
         rng = np.random.default_rng(11)
         features, labels, w0 = random_shard(rng, n=25, d=4)
         anchor = rng.standard_normal(5)
-        beta, c, lr, mu, epochs = 0.7, 1.3, 0.05, 0.4, 6
+        # at lr 0.3 the tail moves between epochs, so reusing it would show
+        beta, c, lr, mu, epochs = 0.7, 1.3, 0.3, 0.4, 6
+        # handed the tail at w0, the kernel steps from it in the first epoch
+        tail = tail_rows(features, labels, w0, beta)
         got = _kernels.local_sgd(features, labels, w0, anchor, beta, c,
-                                 epochs, lr, mu)
+                                 epochs, lr, mu, tail)
         n, d = features.shape
         xb = np.hstack([features, np.ones((n, 1))])
-        w = w0.copy()
+        w, tails = w0.copy(), set()
         for _ in range(epochs):
-            risks = -labels * (xb @ w)
-            q = beta_quantile(risks, beta)
-            mask = risks > q
+            rows = tail_rows(features, labels, w, beta)
+            tails.add(rows.tobytes())
             g = w + mu * (w - anchor)
-            if mask.any():
-                g = g - (c / n) * (xb[mask].T @ labels[mask])
+            g = g - (c / n) * (xb[rows].T @ labels[rows])
             w = w - lr * g
+        assert len(tails) > 1
         np.testing.assert_allclose(got, w, atol=1e-12)
-        # handed the tail at w0, the kernel steps from it in the first epoch
-        risks = -labels * (xb @ w0)
-        tail = np.flatnonzero(risks > beta_quantile(risks, beta))
-        given_tail = _kernels.local_sgd(features, labels, w0, anchor, beta, c,
-                                        epochs, lr, mu, tail)
-        assert given_tail.tobytes() == got.tobytes()
-        # and uses it as given: without one of its rows the result moves
+        # each later epoch scores the rows at its own weights: one epoch,
+        # then the rest handed the tail at the weights it reached
+        w1 = _kernels.local_sgd(features, labels, w0, anchor, beta, c, 1, lr, mu, tail)
+        rest = _kernels.local_sgd(features, labels, w1, anchor, beta, c, epochs - 1,
+                                  lr, mu, tail_rows(features, labels, w1, beta))
+        assert rest.tobytes() == got.tobytes()
+        # and uses the tail as given: without one of its rows the result moves
         wrong = _kernels.local_sgd(features, labels, w0, anchor, beta, c,
                                    epochs, lr, mu, tail[1:])
         assert np.abs(wrong - got).max() > 1e-6
