@@ -131,7 +131,6 @@ class ExperimentResult:
     """Everything a run produces beyond the metrics rows."""
 
     records: list
-    initial_weights: np.ndarray
     final_weights: np.ndarray
     plan: PartitionPlan
 
@@ -279,8 +278,8 @@ def build_clients(config: ExperimentConfig):
     """(None, plan, store): the set-up of ``plan_clients``, then the
     features written once, straight into the store of per-client
     temporal splits; synthetic features are streamed and never held in
-    record order. The store iterates over the clients in id order. The
-    first slot holds nothing; perfbench/child.py unpacks three."""
+    record order. Iterating the store yields the train shards in id
+    order. The first slot holds nothing; perfbench/child.py unpacks three."""
     records, plan, cuts = plan_clients(config)
     return None, plan, ClientStore.build(records, plan, cuts)
 
@@ -307,5 +306,4 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
             except ExperimentError as exc:
                 raise type(exc)(f"round {round_index}: {exc}") from exc
             records.append(record)
-    return ExperimentResult(records=records, initial_weights=w0,
-                            final_weights=state.w, plan=plan)
+    return ExperimentResult(records=records, final_weights=state.w, plan=plan)

@@ -8,7 +8,7 @@ so no record-ordered copy exists. The train rows come first, ordered by
 order. The rows are valid as read or made: ``load_csv`` checks every
 row of a CSV, and synthetic rows are valid by construction. The arrays
 are read-only, so nothing can write a bad value afterwards. Client k's
-shards are views of its row ranges, built as the store is iterated,
+train shard is a view of its row range, built as the store is iterated,
 so no row is held twice. ``ClientStore.evaluate`` scores every train row
 at one weight vector and returns each client's tail threshold,
 tail-active rows and local loss, plus the size-weighted train loss.
@@ -30,11 +30,9 @@ from .partition import PartitionPlan
 
 @dataclass(frozen=True)
 class ClientState:
-    """One simulated client: id plus its temporal train/test shards."""
+    """One simulated client's train shard, a view of the store's rows."""
 
-    client_id: int
     train: LabeledDataset
-    test: LabeledDataset
 
 
 def runs(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
@@ -66,11 +64,11 @@ class TrainPass:
 @dataclass(frozen=True)
 class ClientStore:
     """Train and test rows of all clients. Client k owns train rows
-    ``train_starts[k]:train_starts[k] + train_sizes[k]`` of ``train`` and
-    test rows ``test_starts[k]:test_starts[k] + test_sizes[k]`` of
-    ``test``; ``layout`` lists the client ids in the order of their train
-    rows. Iterating the store builds each client's shards as views of
-    those rows.
+    ``train_starts[k]:train_starts[k] + train_sizes[k]`` of ``train``;
+    ``layout`` lists the client ids in the order of their train rows. The
+    test rows follow client by client in id order, each client's last
+    ones of its records. Iterating the store builds each client's train
+    shard as a view of its rows, in id order.
 
     ``size_groups`` holds, per distinct train size n in increasing order,
     the ids of the clients of that size (ascending) and the train rows
@@ -81,8 +79,6 @@ class ClientStore:
     test: LabeledDataset
     train_starts: np.ndarray
     train_sizes: np.ndarray
-    test_starts: np.ndarray
-    test_sizes: np.ndarray
     layout: np.ndarray
     size_groups: tuple
 
@@ -121,19 +117,13 @@ class ClientStore:
             a = int(starts[ids[0]])
             groups.append((n, ids, a, a + ids.size * n))
         return cls(train=whole.rows(0, n_train), test=whole.rows(n_train, source.size),
-                   train_starts=starts, train_sizes=cuts,
-                   test_starts=np.cumsum(test_sizes) - test_sizes,
-                   test_sizes=test_sizes, layout=layout, size_groups=tuple(groups))
-
-    def __len__(self) -> int:
-        return len(self.train_sizes)
+                   train_starts=starts, train_sizes=cuts, layout=layout,
+                   size_groups=tuple(groups))
 
     def __iter__(self):
         """The clients in id order."""
-        bounds = zip(self.train_starts.tolist(), self.train_sizes.tolist(),
-                     self.test_starts.tolist(), self.test_sizes.tolist())
-        return (ClientState(cid, self.train.rows(a, a + n), self.test.rows(b, b + m))
-                for cid, (a, n, b, m) in enumerate(bounds))
+        return (ClientState(self.train.rows(a, a + n))
+                for a, n in zip(self.train_starts.tolist(), self.train_sizes.tolist()))
 
     def evaluate(self, w: np.ndarray, beta: float, c: float) -> TrainPass:
         """Risks, tail thresholds, tail-active rows and losses at w."""

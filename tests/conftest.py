@@ -27,6 +27,14 @@ def client_records(plan):
     return np.split(plan.order(), np.cumsum(plan.sizes())[:-1])
 
 
+def client_test_shards(store, plan):
+    """Each client's test shard, in id order: ``store.test`` cut at the
+    running sum of the plan's sizes less the train sizes."""
+    ends = np.cumsum(plan.sizes() - store.train_sizes).tolist()
+    assert ends[-1] == len(store.test)
+    return [store.test.rows(a, b) for a, b in zip([0] + ends[:-1], ends)]
+
+
 def make_store(shards):
     """ClientStore of (train, test) dataset pairs: client k trains on
     shards[k][0] and tests on shards[k][1]."""

@@ -185,8 +185,9 @@ def test_criterion_4_closed_form_round():
                   participation_rate=1.0, dropout_rate=0.0)
     first = run_experiment(ExperimentConfig(**cfg_kw))
     second = run_experiment(ExperimentConfig(**cfg_kw))
+    w0 = run_experiment(ExperimentConfig(**{**cfg_kw, "rounds": 0})).final_weights
     ratio = 0.001 / 1.001
-    expected = ratio * first.initial_weights
+    expected = ratio * w0
     rel = np.max(np.abs(first.final_weights - expected)
                  / np.maximum(1e-300, np.abs(expected)))
     bitwise = np.array_equal(first.final_weights, second.final_weights)

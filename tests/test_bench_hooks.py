@@ -8,10 +8,13 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import riskfed
 from riskfed import _kernels, federation
+
+from conftest import make_dataset, make_store
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 if str(PERFBENCH) not in sys.path:
@@ -41,6 +44,15 @@ def test_local_sgd_parameters_the_benchmark_reads_by_position():
     assert names[6] == "epochs"
     # the first epoch always takes its tail from the caller: no default
     assert params["tail"].default is inspect.Parameter.empty
+
+
+def test_store_iterates_train_shards_in_id_order():
+    # child.py indexes [len(c.train) for c in store] by survivor id; with
+    # the ids out of size order the layout is not id order
+    shards = [(make_dataset(np.zeros((n, 2)), np.ones(n)),) * 2 for n in (4, 1, 3, 2)]
+    store = make_store(shards)
+    assert store.layout.tolist() != list(range(4))
+    assert [len(c.train) for c in store] == store.train_sizes.tolist() == [4, 1, 3, 2]
 
 
 @pytest.mark.parametrize("algorithm", ["fral_cse", "fedprox"])

@@ -1,7 +1,7 @@
 import json
 import math
 import textwrap
-from dataclasses import FrozenInstanceError
+from dataclasses import FrozenInstanceError, replace
 from pathlib import Path
 
 import numpy as np
@@ -16,19 +16,22 @@ from riskfed.errors import ConfigurationError
 from riskfed.federation import (
     CONFIG_SCHEMA,
     ExperimentConfig,
+    _INIT_STREAM,
     _ROUND_FN,
     _averaging_step,
+    _child_seed,
     apply_dropout,
     build_clients,
     build_data_and_plan,
+    init_weights,
     run_experiment,
     sample_participants,
 )
 from riskfed.metrics import write_metrics_csv
 from riskfed.sensitivity import client_report
-from riskfed.store import ClientState
 
-from conftest import client_records, make_dataset, make_store, run_python
+from conftest import (client_records, client_test_shards, make_dataset, make_store,
+                      run_python)
 from oracles import exact_solve, tail_rows
 
 
@@ -56,15 +59,16 @@ def config(**kw):
     return ExperimentConfig(**base)
 
 
-def client_from(features, labels, client_id=0):
+def client_from(features, labels):
+    """A client's (train, test) pair, both the one dataset."""
     data = make_dataset(features, labels)
-    return ClientState(client_id=client_id, train=data, test=data)
+    return data, data
 
 
 def run_round(w, clients, cfg, round_index):
     """One round of cfg's algorithm from weights w over a store of the
-    clients: (w_next, record)."""
-    store = make_store([(c.train, c.test) for c in clients])
+    clients' (train, test) pairs: (w_next, record)."""
+    store = make_store(clients)
     after, record = _ROUND_FN[cfg.algorithm](store.evaluate(w, cfg.beta, cfg.c), store,
                                              cfg, round_index)
     return after.w, record
@@ -220,9 +224,8 @@ class TestFralRound:
     def test_closed_form_regularizer_only(self):
         # c = 0: gradient = w, S = I, so w' = w - w/(1+eps) = (eps/(1+eps)) w
         rng = np.random.default_rng(0)
-        clients = [client_from(rng.standard_normal((5, 2)),
-                               rng.choice([-1.0, 1.0], 5), cid)
-                   for cid in range(3)]
+        clients = [client_from(rng.standard_normal((5, 2)), rng.choice([-1.0, 1.0], 5))
+                   for _ in range(3)]
         cfg = config(clients=3, c=0.0, epsilon=0.001)
         w = rng.standard_normal(3)
         w_next, record = run_round(w, clients, cfg, round_index=1)
@@ -235,7 +238,7 @@ class TestFralRound:
         clients = [client_from([[1.0, 0.0], [-2.0, 0.0]], [1.0, 1.0])]
         cfg = config(beta=0.5, c=1.0, epsilon=0.5)
         w = np.array([1.0, 0.0, 0.0])
-        grad = client_report(w, clients[0].train, beta=0.5, c=1.0).gradient
+        grad = client_report(w, clients[0][0], beta=0.5, c=1.0).gradient
         jac = np.array([-2.0, 0.0, 1.0])
         s = np.eye(3) + 0.5 * np.outer(jac, jac)
         step = np.array(exact_solve(s + 0.5 * np.eye(3), grad), dtype=float)
@@ -256,8 +259,9 @@ class TestFralRound:
         cfg = config(algorithm="fral_cse", clients=4, samples_per_client=20,
                      rounds=7, seed=5, c=0.0, epsilon=0.001)
         result = run_experiment(cfg)
+        w0 = run_experiment(replace(cfg, rounds=0)).final_weights
         ratio = 0.001 / 1.001
-        expected = (ratio ** 7) * np.linalg.norm(result.initial_weights)
+        expected = (ratio ** 7) * np.linalg.norm(w0)
         assert np.linalg.norm(result.final_weights) == pytest.approx(
             expected, rel=1e-10
         )
@@ -273,8 +277,8 @@ class TestFedavgRound:
         # several clients of unequal sizes: the size-weighted mean of the
         # unchanged weights would round away from them
         rng = np.random.default_rng(1)
-        clients = [client_from(rng.standard_normal((n, 3)), rng.choice([-1.0, 1.0], n),
-                               cid) for cid, n in enumerate((30, 7, 13, 30, 2, 19, 5))]
+        clients = [client_from(rng.standard_normal((n, 3)), rng.choice([-1.0, 1.0], n))
+                   for n in (30, 7, 13, 30, 2, 19, 5)]
         w = rng.standard_normal(4)
         for cfg in (config(algorithm="fedavg", local_epochs=0, clients=7, d=3),
                     config(algorithm="fedprox", mu=0.1, local_epochs=0, clients=7, d=3)):
@@ -286,7 +290,7 @@ class TestFedavgRound:
         clients = [client_from([[1.0, 0.0], [-2.0, 0.0]], [1.0, 1.0])]
         cfg = config(algorithm="fedavg", local_epochs=1, local_lr=0.05, beta=0.5)
         w = np.array([1.0, 0.0, 0.0])
-        grad = client_report(w, clients[0].train, beta=0.5, c=1.0).gradient
+        grad = client_report(w, clients[0][0], beta=0.5, c=1.0).gradient
         w_next, _ = run_round(w, clients, cfg, round_index=1)
         np.testing.assert_allclose(w_next, w - 0.05 * grad, atol=1e-14)
 
@@ -295,7 +299,7 @@ class TestFedavgRound:
         features = rng.standard_normal((6, 2))
         labels = rng.choice([-1.0, 1.0], 6)
         single = [client_from(features, labels)]
-        doubled = [client_from(features, labels, 0), client_from(features, labels, 1)]
+        doubled = [client_from(features, labels), client_from(features, labels)]
         w = rng.standard_normal(3)
         one, _ = run_round(w, single, config(algorithm="fedavg"), round_index=1)
         two, _ = run_round(w, doubled, config(algorithm="fedavg", clients=2),
@@ -383,7 +387,8 @@ class TestRunExperiment:
         cfg = config(clients=3, samples_per_client=30, rounds=0, seed=4)
         result = run_experiment(cfg)
         assert result.records == []
-        np.testing.assert_array_equal(result.initial_weights, result.final_weights)
+        np.testing.assert_array_equal(
+            result.final_weights, init_weights(cfg.d, _child_seed(cfg.seed, _INIT_STREAM)))
 
     @pytest.mark.parametrize("algorithm, extra", [
         ("fral_cse", {}),
@@ -424,8 +429,7 @@ class TestRunExperiment:
         train_y = np.concatenate([c.train.labels for c in store])
         xb = np.hstack([train_x, np.ones((len(train_x), 1))])
         w_ls, *_ = np.linalg.lstsq(xb, train_y, rcond=None)
-        test_x = np.vstack([c.test.features for c in store])
-        test_y = np.concatenate([c.test.labels for c in store])
+        test_x, test_y = store.test.features, store.test.labels
         oracle_acc = np.mean(test_y * (test_x @ w_ls[:-1] + w_ls[-1]) > 0)
         assert oracle_acc > 0.95
         assert result.records[-1].test_accuracy > 0.85
@@ -448,17 +452,16 @@ class TestBuildClients:
                      dirichlet_alpha=50.0)
         data, _ = build_data_and_plan(cfg)
         _, plan, store = build_clients(cfg)
-        assert [c.client_id for c in store] == list(range(7))
-        for client, idx in zip(store, client_records(plan)):
+        for client, test_shard, idx in zip(store, client_test_shards(store, plan),
+                                           client_records(plan), strict=True):
             records = make_dataset(data.features[idx], data.labels[idx], data.sectors[idx])
             train, test = temporal_split(records, cfg.train_fraction)
-            for got, want in ((client.train, train), (client.test, test)):
+            for got, want in ((client.train, train), (test_shard, test)):
                 np.testing.assert_array_equal(got.features, want.features)
                 np.testing.assert_array_equal(got.labels, want.labels)
                 np.testing.assert_array_equal(got.sectors, want.sectors)
-            # shards are views of the store, not copies
+            # train shards are views of the store, not copies
             assert np.shares_memory(client.train.features, store.train.features)
-            assert np.shares_memory(client.test.features, store.test.features)
         assert len(store.train) + len(store.test) == len(data)
 
     def test_store_is_read_only_and_iterates_views_in_id_order(self):
@@ -469,13 +472,12 @@ class TestBuildClients:
         for part in (store.train, store.test):
             for array in (part.features, part.labels, part.sectors):
                 assert not array.flags.writeable
-        assert len(store) == 1000
-        assert [c.client_id for c in store] == list(range(1000))
+        assert store.train_sizes.size == 1000
+        assert [len(c.train) for c in store] == store.train_sizes.tolist()
         for client in store:
-            for shard, whole in ((client.train, store.train), (client.test, store.test)):
-                assert np.shares_memory(shard.features, whole.features)
-                assert np.shares_memory(shard.labels, whole.labels)
-                assert np.shares_memory(shard.sectors, whole.sectors)
+            assert np.shares_memory(client.train.features, store.train.features)
+            assert np.shares_memory(client.train.labels, store.train.labels)
+            assert np.shares_memory(client.train.sectors, store.train.sectors)
 
     @needs_vm_status
     def test_build_clients_holds_the_features_once(self):

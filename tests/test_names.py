@@ -8,6 +8,9 @@ a perfbench script names it (the benchmark wraps some functions by their
 name as a string), or when README.md names it as a public helper. The
 README lists the names kept only for the benchmark, and that list must
 stay the set the benchmark alone names.
+
+Likewise every field of a dataclass is read as an attribute somewhere,
+or is listed in ``UNREAD_FIELDS`` with the reason it stays.
 """
 
 import ast
@@ -74,6 +77,47 @@ def unread_names():
     outside = perfbench_text() + "\n" + (ROOT / "README.md").read_text(encoding="utf-8")
     return [qualified for qualified, name, read_in_src in src_names()
             if not (read_in_src or named_in(name, outside))]
+
+
+# dataclass fields that neither src nor perfbench reads, with why each stays
+UNREAD_FIELDS = {
+    "store.TrainPass.q": "the round trace of ROADMAP item 1a will read it",
+    "store.TrainPass.losses": "test_store.py compares each client's loss with "
+                              "_kernels.client_eval bit for bit",
+    "sensitivity.ClientReport.local_loss": "it belongs to the per-client reference "
+                                           "path that the benchmark pins (ROADMAP item 2)",
+}
+
+
+def dataclass_fields(tree):
+    """(class name, field name) for each field of each @dataclass a module
+    defines."""
+    for node in tree.body:
+        if isinstance(node, ast.ClassDef) and any(
+                getattr(d.func if isinstance(d, ast.Call) else d, "id", None) == "dataclass"
+                for d in node.decorator_list):
+            for item in node.body:
+                if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name):
+                    yield node.name, item.target.id
+
+
+def attribute_reads(tree):
+    """The names of the attributes a module reads."""
+    return {node.attr for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+
+
+def test_every_dataclass_field_is_read():
+    """A field counts as read when src or a perfbench script reads an
+    attribute of its name. The check goes by name, so a field that shares
+    its name with another attribute that is read passes."""
+    paths = sorted(SRC.glob("*.py")) + sorted((ROOT / "perfbench").glob("*.py"))
+    trees = {path: ast.parse(path.read_text(encoding="utf-8")) for path in paths}
+    read = set().union(*map(attribute_reads, trees.values()))
+    unread = {f"{path.stem}.{cls}.{name}" for path, tree in trees.items()
+              if path.parent == SRC for cls, name in dataclass_fields(tree)
+              if name not in read}
+    assert unread == set(UNREAD_FIELDS)
 
 
 def test_every_src_name_is_read():

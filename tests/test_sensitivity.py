@@ -185,6 +185,12 @@ class TestCentralUpdate:
         s = np.array([[1.0, 0.0], [0.0, -1.0]])
         with pytest.raises(NumericalError, match="smallest eigenvalue"):
             central_update(np.zeros(2), s, np.array([1.0, 1.0]), epsilon=0.0)
+        # a run never reaches this branch, its S being at least I, so only a
+        # direct call does; the message names the damped system's eigenvalue
+        with pytest.raises(NumericalError) as caught:
+            central_update(np.zeros(3), -2 * np.eye(3), np.ones(3), 1e-3)
+        assert ("not positive definite (smallest eigenvalue -1.999e+00)"
+                in str(caught.value))
 
 
 class TestGaussNewtonConsistency:

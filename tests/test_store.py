@@ -18,7 +18,7 @@ from riskfed.partition import PartitionPlan
 from riskfed.sensitivity import aggregate_sensitivity, client_report, tail_system
 from riskfed.store import ClientStore
 
-from conftest import make_dataset, make_store
+from conftest import client_test_shards, make_dataset, make_store
 
 SETTINGS = settings(max_examples=150, deadline=None)
 
@@ -95,9 +95,8 @@ def check_evaluate(store, w, beta, c):
 
 
 def check_layout(store):
-    """Clients of one size form one contiguous block in id order, the test
-    rows stay client by client in id order, and every shard and block is a
-    view of the store's arrays."""
+    """Clients of one size form one contiguous block in id order, and every
+    train shard and block is a view of the store's arrays."""
     features = store.train.features
     clients = list(store)
     sizes = [len(client.train) for client in clients]
@@ -111,10 +110,6 @@ def check_layout(store):
             view = clients[k].train.features
             assert np.shares_memory(view, features)
             assert view.__array_interface__ == block[i].__array_interface__
-    for client in clients:
-        assert np.shares_memory(client.test.features, store.test.features)
-    np.testing.assert_array_equal(
-        np.concatenate([client.test.features for client in store]), store.test.features)
 
 
 @SETTINGS
@@ -146,11 +141,12 @@ def owned_records(draw):
 def test_gather_splits_each_clients_records_in_order(case):
     data, plan, cuts = case
     store = ClientStore.build(data, plan, cuts)
-    assert len(store) == plan.num_clients
+    assert store.train_sizes.size == plan.num_clients
     check_layout(store)
+    tests = client_test_shards(store, plan)
     for k, client in enumerate(store):
         mine = np.flatnonzero(plan.owner == k)  # client k's records, ascending
-        for shard, idx in ((client.train, mine[:cuts[k]]), (client.test, mine[cuts[k]:])):
+        for shard, idx in ((client.train, mine[:cuts[k]]), (tests[k], mine[cuts[k]:])):
             np.testing.assert_array_equal(shard.features, data.features[idx])
             np.testing.assert_array_equal(shard.labels, data.labels[idx])
             np.testing.assert_array_equal(shard.sectors, data.sectors[idx])
@@ -193,7 +189,7 @@ def test_streamed_store_equals_store_of_the_record_ordered_data(case):
         for array in ("features", "labels", "sectors"):
             np.testing.assert_array_equal(getattr(getattr(got, part), array),
                                           getattr(getattr(want, part), array), strict=True)
-    for name in ("train_starts", "train_sizes", "test_starts", "test_sizes", "layout"):
+    for name in ("train_starts", "train_sizes", "layout"):
         np.testing.assert_array_equal(getattr(got, name), getattr(want, name), strict=True)
     assert len(got.size_groups) == len(want.size_groups)
     for (n, ids, a, b), (wn, wids, wa, wb) in zip(got.size_groups, want.size_groups):
@@ -240,8 +236,8 @@ def survivor_tail(store, w, beta, survivors):
 @given(stores(), st.data())
 def test_tail_system_equals_aggregated_reports(case, data):
     store, w, beta, c = case
-    survivors = data.draw(st.lists(st.sampled_from(range(len(store))), min_size=1,
-                                   unique=True).map(sorted))
+    survivors = data.draw(st.lists(st.sampled_from(range(store.train_sizes.size)),
+                                   min_size=1, unique=True).map(sorted))
     result = store.evaluate(w, beta, c)
     rows = result.tail_rows(survivors)
     want_rows, want_features = survivor_tail(store, w, beta, survivors)
