@@ -78,14 +78,15 @@ def local_sgd(features, labels, w0, anchor, beta, c, epochs, lr, mu, tail):
     k = quantile_rank(n, beta)
     scale = c / n
     neg = -labels
-    risks = np.empty(n)
+    risks, part, above = np.empty(n), np.empty(n), np.empty(n, dtype=bool)
     for epoch in range(epochs):
         if epoch:
             np.matmul(features, w[:d], out=risks)
             risks += w[d]
             risks *= neg
-            q = np.partition(risks, k - 1)[k - 1]
-            tail = np.flatnonzero(risks > q)
+            np.copyto(part, risks)
+            part.partition(k - 1)
+            tail = np.greater(risks, part[k - 1], out=above).nonzero()[0]
         g = w + mu * (w - anchor)
         xa = features.take(tail, axis=0)
         ya = labels.take(tail)

@@ -4,8 +4,13 @@ One experiment is fully determined by its configuration, including every
 random stream: data generation, partitioning, weight initialization, and
 the per-round participation and dropout draws all derive from the single
 experiment seed through fixed stream tags. Per-client dropout draws are
-seeded by (seed, round, client). Clients train in one serial loop on one
-pinned OpenBLAS thread, so no thread count of the host changes an outcome.
+seeded by (seed, round, client). Clients train in one serial loop, and
+every BLAS call runs on one pinned OpenBLAS thread, so no thread count of
+the host changes an outcome. One helper thread (``_blas.both``) overlaps
+whole single-threaded calls of a round that write disjoint outputs: half
+of the scoring and the test accuracy beside the rest of the scoring, and
+X^T y and the column sums beside the tail's Gram product. Each is the
+call a serial pass makes, so no arithmetic changes.
 
 Clients live in one ``ClientStore``. Set-up draws or loads every record's
 label and sector, partitions them, and only then writes the features,
@@ -35,7 +40,7 @@ from .data import load_csv, split_points, synthetic_records
 # wraps them by these names
 from .data import generate_synthetic, temporal_split  # noqa: F401
 from .errors import ConfigurationError, ExperimentError, NumericalError
-from .metrics import RoundRecord, accuracy
+from .metrics import RoundRecord
 from .partition import PartitionPlan, exdir_partition
 from .store import ClientStore, TrainPass
 
@@ -221,7 +226,7 @@ def _round(state: TrainPass, store: ClientStore, config, round_index, step):
     record = RoundRecord(
         round=round_index,
         global_train_loss=after.train_loss,
-        test_accuracy=accuracy(after.w, store.test),
+        test_accuracy=after.test_accuracy,
         participants=int(participants.size),
         completed=int(survivors.size),
         step_norm=float(np.linalg.norm(after.w - state.w)),
@@ -290,7 +295,8 @@ def init_weights(d: int, seed: int) -> np.ndarray:
 
 
 def run_experiment(config: ExperimentConfig) -> ExperimentResult:
-    """Run all rounds on one pinned BLAS thread; deterministic per configuration."""
+    """Run all rounds, every BLAS call on one pinned thread, with one helper
+    thread overlapping whole calls; deterministic per configuration."""
     _blas.pin_one_thread()
     _, plan, store = build_clients(config)
     w0 = init_weights(store.train.dim, _child_seed(config.seed, _INIT_STREAM))

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from . import _kernels
+from . import _blas, _kernels
 from .data import LabeledDataset
 from .errors import DataError, NumericalError
 
@@ -76,16 +76,21 @@ def tail_system(
 
     ``features``/``labels`` hold those rows and n is the survivors' total
     train rows. With J the stacked rows [x; 1],
-    S = I + (c/n) J^T J and g = w - (c/n) sum_i y_i [x_i; 1].
+    S = I + (c/n) J^T J and g = w - (c/n) sum_i y_i [x_i; 1]. The Gram
+    product runs on the caller's thread while ``_blas.both``'s helper
+    forms X^T y and the column sums, each the call a serial pass makes.
     """
     m, d = features.shape
     scale = c / n
+    xtx, (xty, column_sums) = _blas.both(
+        lambda: features.T @ features,
+        lambda: (features.T @ labels, features.sum(axis=0)))
     jac_sum = np.empty(d + 1)
-    jac_sum[:d] = features.T @ labels
+    jac_sum[:d] = xty
     jac_sum[d] = float(labels.sum())
     gram = np.empty((d + 1, d + 1))
-    gram[:d, :d] = features.T @ features
-    gram[:d, d] = gram[d, :d] = features.sum(axis=0)
+    gram[:d, :d] = xtx
+    gram[:d, d] = gram[d, :d] = column_sums
     gram[d, d] = m
     s = scale * gram
     s[np.diag_indices(d + 1)] += 1.0

@@ -11,10 +11,13 @@ are read-only, so nothing can write a bad value afterwards. Client k's
 train shard is a view of its row range, built as the store is iterated,
 so no row is held twice. ``ClientStore.evaluate`` scores every train row
 at one weight vector and returns each client's tail threshold,
-tail-active rows and local loss, plus the size-weighted train loss.
-Each quantity is computed with the same floating-point operations, on
-the same values, as the per-client numpy kernel ``_kernels.client_eval``,
-so the results equal it bit for bit.
+tail-active rows and local loss, plus the size-weighted train loss and
+the test accuracy. Each quantity is computed with the same
+floating-point operations, on the same values, as the per-client numpy
+kernel ``_kernels.client_eval``, so the results equal it bit for bit.
+The scoring is split at a client bound between the caller's thread and
+``_blas.both``'s helper, which also scores the test set: whole
+single-threaded GEMVs overlap, and no arithmetic changes.
 """
 
 from __future__ import annotations
@@ -23,8 +26,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import _blas
 from ._kernels import quantile_rank
 from .data import LabeledDataset
+from .metrics import accuracy
 from .partition import PartitionPlan
 
 
@@ -43,8 +48,8 @@ def runs(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class TrainPass:
-    """Every train row of a store evaluated at weights ``w``; per-client
-    arrays are indexed by client id."""
+    """Every train row of a store evaluated at weights ``w``, and the test
+    accuracy there; per-client arrays are indexed by client id."""
 
     w: np.ndarray
     q: np.ndarray  # (K,) each client's beta-quantile of its risks
@@ -53,6 +58,7 @@ class TrainPass:
     active_counts: np.ndarray  # (K,) tail-active rows per client
     losses: np.ndarray  # (K,) 0.5*||w||^2 + (c/n_k) * hinge_k
     train_loss: float  # sum_k (n_k/n) * losses[k], added left to right by id
+    test_accuracy: float  # metrics.accuracy(w, store.test)
 
     def tail_rows(self, clients) -> np.ndarray:
         """Store rows of the given clients' tail-active rows, client by
@@ -126,20 +132,37 @@ class ClientStore:
                 for a, n in zip(self.train_starts.tolist(), self.train_sizes.tolist()))
 
     def evaluate(self, w: np.ndarray, beta: float, c: float) -> TrainPass:
-        """Risks, tail thresholds, tail-active rows and losses at w."""
+        """Risks, tail thresholds, tail-active rows, losses and test accuracy
+        at w."""
         features, labels = self.train.features, self.train.labels
         sizes = self.train_sizes
         d = features.shape[1]
         coef = w[:d]
-        # One GEMV per client, as the per-client kernel does: a stacked
-        # matmul calls the BLAS once per matrix of the block. A BLAS may
-        # round a row differently depending on where it falls in the
-        # product (OpenBLAS takes the last n mod 4 rows through another
-        # kernel), so one product over the whole store would not match.
         scores = np.empty(labels.size)
-        for n, ids, a, b in self.size_groups:
-            np.matmul(features[a:b].reshape(ids.size, n, d), coef,
-                      out=scores[a:b].reshape(ids.size, n))
+        # the helper thread scores the train rows from the first client
+        # bound at or past half of all the rows, then the test set; each
+        # GEMV is the one a serial pass makes, so every score keeps its bits
+        bounds = np.append(self.train_starts[self.layout], labels.size)
+        half = (labels.size + len(self.test)) // 2
+        cut = int(bounds[min(np.searchsorted(bounds, half), bounds.size - 1)])
+
+        def score(lo, hi):
+            # One GEMV per client, as the per-client kernel does: a stacked
+            # matmul calls the BLAS once per matrix of the block. A BLAS may
+            # round a row differently depending on where it falls in the
+            # product (OpenBLAS takes the last n mod 4 rows through another
+            # kernel), so one product over the whole store would not match.
+            for n, _, a, b in self.size_groups:
+                a, b = max(a, lo), min(b, hi)
+                if a < b:
+                    np.matmul(features[a:b].reshape(-1, n, d), coef,
+                              out=scores[a:b].reshape(-1, n))
+
+        def side():
+            score(cut, labels.size)
+            return accuracy(w, self.test)
+
+        _, test_accuracy = _blas.both(lambda: score(0, cut), side)
         risks = -labels * (scores + w[d])
 
         # the k-th smallest risk is one value however it is selected, so
@@ -153,7 +176,6 @@ class ClientStore:
         excess = risks[active_rows] - q_rows[active_rows]
         # each client's run of active_rows, searched at the client bounds in
         # row order: ascending keys search much faster than unsorted ones
-        bounds = np.append(self.train_starts[self.layout], labels.size)
         cuts = np.searchsorted(active_rows, bounds)
         active_starts, active_counts = np.empty_like(sizes), np.empty_like(sizes)
         active_starts[self.layout] = cuts[:-1]
@@ -171,4 +193,4 @@ class ClientStore:
         train_loss = float(np.add.accumulate(sizes / labels.size * losses)[-1])
         return TrainPass(w=w, q=q, active_rows=active_rows, active_starts=active_starts,
                          active_counts=active_counts, losses=losses,
-                         train_loss=train_loss)
+                         train_loss=train_loss, test_accuracy=test_accuracy)

@@ -1,8 +1,12 @@
 """pin_one_thread's fallbacks: no maps file, and an OpenBLAS that does not
-load."""
+load; and how both() hands its side call to the helper thread and back."""
 
 import io
+import threading
+import time
+import warnings
 
+import numpy as np
 import pytest
 
 from riskfed import _blas
@@ -43,3 +47,39 @@ def test_unloadable_library_is_skipped_and_the_rest_pinned(monkeypatch, tmp_path
     monkeypatch.setattr(_blas.ctypes, "CDLL", cdll)
     _blas.pin_one_thread()
     assert pinned == [1]
+
+
+def test_side_runs_under_the_callers_errstate():
+    big = np.full((4, 4), 1e300)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with np.errstate(over="ignore"):
+            _, product = _blas.both(lambda: None, lambda: big @ big)
+        # the same product warns where the caller does not ignore overflow
+        with pytest.raises(RuntimeWarning, match="overflow"):
+            _blas.both(lambda: None, lambda: big @ big)
+    assert np.isinf(product).all()
+
+
+def test_exception_in_side_reaches_the_caller():
+    main_ran = []
+    with pytest.raises(ZeroDivisionError):
+        _blas.both(lambda: main_ran.append(True), lambda: 1 / 0)
+    assert main_ran == [True]
+
+
+def test_side_finishes_before_an_exception_in_main_propagates():
+    started, finished = threading.Event(), []
+
+    def side():
+        started.set()
+        time.sleep(0.2)
+        finished.append(True)
+
+    def main():
+        assert started.wait(5)
+        raise ValueError("main failed")
+
+    with pytest.raises(ValueError, match="main failed"):
+        _blas.both(main, side)
+    assert finished == [True]

@@ -9,7 +9,7 @@ from riskfed.data import generate_synthetic, write_csv
 from riskfed.errors import ConfigurationError
 from riskfed.federation import ExperimentConfig
 
-from conftest import run_cli
+from conftest import run_cli, run_python
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -190,22 +190,33 @@ class TestMainRun:
 
     def test_bytes_do_not_depend_on_blas_threads(self, tmp_path):
         # unpinned, OpenBLAS at 2 threads or its default summed this
-        # config's products in another order than at 1 thread
+        # config's products in another order than at 1 thread; confined to
+        # one CPU, the helper thread's calls interleave with the caller's
         config = write_config(tmp_path, (
             "algorithm = fral_cse\nclients = 10\nsamples_per_client = 500\n"
             "d = 130\nrounds = 3\nseed = 1\nnum_sectors = 1\nsignal = 3.0\n"
             "alpha = 10\nepsilon = 2.0\n"))
+        one_cpu = ("import os, sys\n"
+                   "os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})\n"
+                   "assert len(os.sched_getaffinity(0)) == 1\n"
+                   "from riskfed.cli import main\n"
+                   "sys.exit(main(sys.argv[1:]))\n")
         artifacts = {}
-        for threads in ("2", "1", None):
+        for threads in ("2", "1", None, "one cpu"):
             out = tmp_path / f"threads-{threads}"
-            proc = run_cli("run", "--config", str(config), "--out", str(out),
-                           env_vars={"OPENBLAS_NUM_THREADS": threads,
-                                     "GOTO_NUM_THREADS": None, "OMP_NUM_THREADS": None})
+            args = ("run", "--config", str(config), "--out", str(out))
+            env_vars = {"OPENBLAS_NUM_THREADS": threads,
+                        "GOTO_NUM_THREADS": None, "OMP_NUM_THREADS": None}
+            if threads == "one cpu":
+                proc = run_python("-c", one_cpu, *args,
+                                  env_vars=dict(env_vars, OPENBLAS_NUM_THREADS=None))
+            else:
+                proc = run_cli(*args, env_vars=env_vars)
             assert proc.returncode == 0, proc.stderr
             run_dir = next(out.iterdir())
             artifacts[threads] = [(run_dir / name).read_bytes()
                                   for name in ("metrics.csv", "weights.csv")]
-        assert artifacts["2"] == artifacts["1"] == artifacts[None]
+        assert artifacts["2"] == artifacts["1"] == artifacts[None] == artifacts["one cpu"]
 
     def test_run_twice_identical_metrics(self, tmp_path):
         config = write_config(tmp_path)

@@ -1,22 +1,25 @@
 """Property tests: the batched store evaluation and central system against
-the per-client kernels, the store layout built from an owner array, and
-the vectorized dropout draws against numpy."""
+the per-client kernels and against a pass with no helper thread, the
+store layout built from an owner array, and the vectorized dropout draws
+against numpy."""
 
+from dataclasses import fields
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import riskfed.data
-from riskfed import _kernels
+from riskfed import _blas, _kernels
 from riskfed._pcg import first_uniforms
 from riskfed.data import generate_synthetic, synthetic_records
+from riskfed.metrics import accuracy
 from riskfed.objective import aggregate_gradient
 from riskfed.partition import PartitionPlan
 from riskfed.sensitivity import aggregate_sensitivity, client_report, tail_system
-from riskfed.store import ClientStore
+from riskfed.store import ClientStore, TrainPass
 
 from conftest import client_test_shards, make_dataset, make_store
 
@@ -251,6 +254,65 @@ def test_tail_system_equals_aggregated_reports(case, data):
     np.testing.assert_allclose(s, aggregate_sensitivity(reports, c, n),
                                rtol=0, atol=1e-12)
     np.testing.assert_array_equal(s, s.T)
+
+
+def split_case(train_sizes, test_sizes, d, seed):
+    """A store whose client k trains on train_sizes[k] rows and tests on
+    test_sizes[k], and weights; features and labels drawn from seed."""
+    rng = np.random.default_rng(seed)
+    shards = [tuple(make_dataset(rng.standard_normal((n, d)), rng.choice([-1.0, 1.0], n))
+                    for n in (n_train, n_test))
+              for n_train, n_test in zip(train_sizes, test_sizes)]
+    return make_store(shards), rng.standard_normal(d + 1)
+
+
+@st.composite
+def split_stores(draw):
+    """A store of one client, of one size group, or of several groups, its
+    train and test sizes drawn apart, so that the helper thread's share
+    starts at any client bound; plus weights, beta, c and survivors."""
+    shape = draw(st.sampled_from(["one client", "one group", "groups"]))
+    count = 1 if shape == "one client" else draw(st.integers(2, 9))
+    if shape == "groups":
+        train = draw(st.lists(st.integers(1, 12), min_size=count, max_size=count))
+    else:
+        train = [draw(st.integers(1, 40))] * count
+    test = draw(st.lists(st.integers(1, 30), min_size=count, max_size=count))
+    store, w = split_case(train, test, draw(st.integers(1, 8)),
+                          draw(st.integers(0, 2**32 - 1)))
+    survivors = draw(st.lists(st.sampled_from(range(count)), min_size=1,
+                              unique=True).map(sorted))
+    return (store, w, draw(st.floats(0.05, 0.95)),
+            draw(st.sampled_from([0.0, 0.5, 1.0, 2.5])), survivors)
+
+
+def serial(main, side):
+    """_blas.both with no helper thread: main, then side."""
+    return main(), side()
+
+
+@SETTINGS
+# 15 rows: the helper scores from train row 8, inside the one size group
+@example((*split_case([4, 4, 4], [1, 1, 1], 3, seed=0), 0.8, 1.0, [0, 2]))
+# 16 rows: from row 8, inside the group of size 3 that follows two of size 1
+@example((*split_case([3, 1, 3, 3, 1], [1, 1, 1, 1, 1], 2, seed=1), 0.5, 2.5, [1, 2, 3]))
+@given(split_stores())
+def test_helper_thread_changes_no_bit(case):
+    store, w, beta, c, survivors = case
+    check_evaluate(store, w, beta, c)
+    got = store.evaluate(w, beta, c)
+    rows = got.tail_rows(survivors)
+    system = (w, store.train.features[rows], store.train.labels[rows],
+              int(store.train_sizes[survivors].sum()), c)
+    got_s, got_g = tail_system(*system)
+    with mock.patch.object(_blas, "both", serial):
+        want = store.evaluate(w, beta, c)
+        want_s, want_g = tail_system(*system)
+    for f in fields(TrainPass):
+        assert np.array_equal(getattr(got, f.name), getattr(want, f.name)), f.name
+    assert got.test_accuracy == accuracy(w, store.test)
+    assert np.array_equal(got_s, want_s)
+    assert np.array_equal(got_g, want_g)
 
 
 @pytest.mark.parametrize("seed", [0, 2**32 - 1, 2**32, 2**40 + 7])
