@@ -23,7 +23,8 @@ from concurrent.futures import ThreadPoolExecutor, wait
 _SETTERS = ("scipy_openblas_set_num_threads64_", "scipy_openblas_set_num_threads",
             "openblas_set_num_threads")
 
-_helper = None  # the one helper thread's executor, started by the first both()
+# the one helper thread; ThreadPoolExecutor starts it at the first submit
+_helper = ThreadPoolExecutor(max_workers=1, thread_name_prefix="riskfed-blas")
 
 
 def pin_one_thread() -> None:
@@ -54,9 +55,6 @@ def both(main, side):
     raised here; when main raises, side is waited for first, so no call
     outlives this one.
     """
-    global _helper
-    if _helper is None:
-        _helper = ThreadPoolExecutor(max_workers=1, thread_name_prefix="riskfed-blas")
     future = _helper.submit(contextvars.copy_context().run, side)
     try:
         first = main()

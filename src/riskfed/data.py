@@ -142,27 +142,32 @@ def load_csv(path) -> LabeledDataset:
     the only check of outside data: each row must have the header's cell
     count, finite numeric features, a label of exactly -1 or 1, and an
     int64 sector (0 when absent). A UTF-8 byte-order mark before the
-    header is skipped. The body is parsed in one ``np.loadtxt`` pass; a
-    file that pass declines is read row by row, and that loop names the
-    first bad row, or a file that cannot be opened or decoded, in a
-    DataError naming the file.
+    header is skipped. The file is opened once and its header checked
+    once. The body is parsed in one ``np.loadtxt`` pass; a body that
+    pass declines is read row by row from the same open file, from its
+    first body row, and that loop names the first bad row. A file that
+    cannot be opened or decoded is a DataError naming the file too.
     """
-    data = _load_whole(path)
-    if data is not None:
-        return data
     try:
         with open(path, newline="", encoding="utf-8-sig") as fh:
-            feats, labels, sectors = _read_records(path, csv.reader(fh))
+            # readline, not iteration, so that tell() gives where the body starts
+            header = next(csv.reader(iter(fh.readline, "")), None)
+            if header is None:
+                raise DataError(f"{path}: empty file, header row required")
+            shape = _header_shape(header)
+            if shape is None:
+                raise DataError(
+                    f"{path}: header must be feature_0..feature_{{d-1}},label[,sector]"
+                )
+            body = fh.tell() if fh.seekable() else None
+            data = _load_whole(fh, *shape)
+            if data is None:
+                fh.seek(body)  # a pipe raises here: its body cannot be read again
+                data = _read_records(path, csv.reader(fh), *shape)
     except (OSError, UnicodeDecodeError, csv.Error) as exc:
         reason = getattr(exc, "strerror", None) or exc
         raise DataError(f"{path}: cannot read: {reason}") from None
-    if not feats:
-        raise DataError(f"{path}: no data rows")
-    return LabeledDataset(
-        features=np.ascontiguousarray(feats, dtype=np.float64),
-        labels=np.asarray(labels),
-        sectors=np.asarray(sectors, dtype=np.int64),
-    )
+    return data
 
 
 # The only bytes _load_whole accepts after the header. In them csv and
@@ -172,28 +177,21 @@ def load_csv(path) -> LabeledDataset:
 _WHOLE_BODY_BYTES = b"0123456789+-.eE,\r\n"
 
 
-def _load_whole(path) -> LabeledDataset | None:
-    """The file parsed in one np.loadtxt call, or None where the row loop
-    could read it otherwise: a bad or unusual file, which the loop then
-    reads, rejects or names the first bad row of."""
+def _load_whole(lines, d: int, has_sector: bool) -> LabeledDataset | None:
+    """The body lines parsed in one np.loadtxt call, or None where the row
+    loop could read them otherwise: a bad or unusual body, which the loop
+    then reads or names the first bad row of."""
+    # a label wider than "-1" stays wider than 2 characters in "U3"
+    fields = [("features", np.float64, (d,)), ("label", "U3")]
+    fields += [("sector", np.int64)] * has_sector
     try:
-        with open(path, newline="", encoding="utf-8-sig") as fh, \
-                warnings.catch_warnings():
+        with warnings.catch_warnings():
             # loadtxt warns on a body with no rows, and older numpy read an
             # int64 cell such as "2.5" as 2 with a DeprecationWarning
             warnings.simplefilter("error")
-            # a quoted header cell that runs on past this line ends in a
-            # body line, which holds a quote and so is declined
-            shape = _header_shape(next(csv.reader([fh.readline()])))
-            if shape is None:
-                return None
-            d, has_sector = shape
-            # a label wider than "-1" stays wider than 2 characters in "U3"
-            fields = [("features", np.float64, (d,)), ("label", "U3")]
-            fields += [("sector", np.int64)] * has_sector
-            table = np.loadtxt(_whole_body_lines(fh), dtype=fields, delimiter=",",
+            table = np.loadtxt(_whole_body_lines(lines), dtype=fields, delimiter=",",
                                comments=None, ndmin=1)
-    except (OSError, UnicodeDecodeError, csv.Error, ValueError, Warning):
+    except (ValueError, Warning):
         return None
     features, labels = table["features"], table["label"]
     if not (np.isfinite(features).all() and np.isin(labels, ("-1", "1")).all()):
@@ -241,23 +239,14 @@ def _bad_number(cell: str) -> bool:
     return "_" in cell or not cell.isascii()
 
 
-def _read_records(path, reader):
-    """Header check, then each row's features, label and sector as lists."""
-    try:
-        header = next(reader)
-    except StopIteration:
-        raise DataError(f"{path}: empty file, header row required") from None
-    shape = _header_shape(header)
-    if shape is None:
-        raise DataError(
-            f"{path}: header must be feature_0..feature_{{d-1}},label[,sector]"
-        )
-    ncols, has_sector = shape
+def _read_records(path, reader, ncols: int, has_sector: bool) -> LabeledDataset:
+    """Each body row checked, numbered from 2, the header being row 1."""
+    width = ncols + 1 + has_sector
     feats, labels, sectors = [], [], []
     for rownum, row in enumerate(reader, start=2):
-        if len(row) != len(header):
+        if len(row) != width:
             raise DataError(f"{path}: row {rownum} has {len(row)} cells, "
-                            f"expected {len(header)}")
+                            f"expected {width}")
         try:
             if _bad_number("".join(row[:ncols])):
                 raise ValueError
@@ -285,7 +274,13 @@ def _read_records(path, reader):
         feats.append(values)
         labels.append(float(label_field))
         sectors.append(sector)
-    return feats, labels, sectors
+    if not feats:
+        raise DataError(f"{path}: no data rows")
+    return LabeledDataset(
+        features=np.ascontiguousarray(feats, dtype=np.float64),
+        labels=np.asarray(labels),
+        sectors=np.asarray(sectors, dtype=np.int64),
+    )
 
 
 def write_csv(data: LabeledDataset, path) -> None:

@@ -1,15 +1,22 @@
 """pin_one_thread's fallbacks: no maps file, and an OpenBLAS that does not
-load; and how both() hands its side call to the helper thread and back."""
+load; how both() hands its side call to the helper thread and back; and
+that a command with no round starts no thread."""
 
 import io
+import textwrap
 import threading
 import time
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from riskfed import _blas
+
+from conftest import run_python
+
+QUICKSTART = Path(__file__).resolve().parent.parent / "configs" / "quickstart.conf"
 
 
 def test_without_maps_file_nothing_is_pinned(monkeypatch):
@@ -83,3 +90,18 @@ def test_side_finishes_before_an_exception_in_main_propagates():
     with pytest.raises(ValueError, match="main failed"):
         _blas.both(main, side)
     assert finished == [True]
+
+
+def test_commands_without_a_round_start_no_thread():
+    # the helper's executor exists from import, and starts its thread only
+    # at the first both(): validate and partition-report run no round
+    probe = textwrap.dedent(f"""\
+        import threading
+        from riskfed.cli import main
+        for command in ("validate", "partition-report"):
+            assert main([command, "--config", {str(QUICKSTART)!r}]) == 0
+        print(threading.active_count())
+        """)
+    proc = run_python("-c", probe)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "1"

@@ -1,5 +1,6 @@
 import csv
 import math
+import os
 import re
 import warnings
 from unittest import mock
@@ -354,6 +355,76 @@ def test_clean_file_skips_the_row_loop(tmp_path, monkeypatch, write):
     np.testing.assert_array_equal(data.labels, [float(r[6]) for r in rows])
     assert data.sectors.dtype == np.int64
     np.testing.assert_array_equal(data.sectors, [int(r[7]) for r in rows])
+
+
+# load_csv opens its file once, whether the loadtxt pass or the row loop
+# reads the body and whether the file is read or rejected: each file, and
+# the error it names
+ONE_OPEN_FILES = {
+    "clean": ("feature_0,feature_1,label,sector\n0.5,-1.25,1,0\n3.0,2e-1,-1,2\n",
+              None),
+    "quoted cells": ('feature_0,"feature_1",label\n"0.5",-1.25,1\n3.0,2e-1,"-1"\n',
+                     None),
+    "header cell across two lines": ('feature_0,feature_1,"label\n"\n0.5,-1.25,1\n',
+                                     None),
+    "bad row after a quoted row": ('feature_0,label\n"0.5",1\nx,1\n',
+                                   r"row 3 has a non-numeric cell$"),
+    "bad header": ("feature_0,lable\n0.5,1\n", r"header must be feature_0\.\."),
+    "header only": ("feature_0,label\n", r"no data rows$"),
+}
+
+
+@pytest.mark.parametrize("text, error", ONE_OPEN_FILES.values(), ids=ONE_OPEN_FILES)
+def test_load_csv_opens_its_file_once(tmp_path, monkeypatch, text, error):
+    path = tmp_path / "data.csv"
+    path.write_text(text, encoding="utf-8")
+    opened = []
+
+    def spy(*args, **kwargs):
+        opened.append(args[0])
+        return open(*args, **kwargs)
+
+    monkeypatch.setattr(riskfed.data, "open", spy, raising=False)
+    if error is None:
+        load_csv(path)
+    else:
+        with pytest.raises(DataError, match=rf"data\.csv: {error}"):
+            load_csv(path)
+    assert opened == [path]
+
+
+@pytest.mark.parametrize("body", ["0.5,-1.25,1\n3.0,2e-1,-1\n",
+                                  '"0.5",-1.25,1\n3.0,2e-1,"-1"\n'],
+                         ids=["clean body", "quoted body"])
+def test_header_cell_across_two_lines_reads_as_its_one_line_twin(tmp_path, body):
+    one, two = tmp_path / "one.csv", tmp_path / "two.csv"
+    one.write_text("feature_0,feature_1,label\n" + body, encoding="utf-8")
+    two.write_text('feature_0,feature_1,"label\n"\n' + body, encoding="utf-8")
+    want, got = load_csv(one), load_csv(two)
+    np.testing.assert_array_equal(want.features, [[0.5, -1.25], [3.0, 0.2]])
+    np.testing.assert_array_equal(want.labels, [1.0, -1.0])
+    for name in ("features", "labels", "sectors"):
+        np.testing.assert_array_equal(getattr(got, name), getattr(want, name))
+
+
+@pytest.mark.parametrize("text, error", [
+    ("feature_0,label\n0.5,1\n", None),
+    ('feature_0,label\n"0.5",1\n', "cannot read: underlying stream is not seekable"),
+], ids=["clean", "quoted cell"])
+def test_piped_file_is_read_by_the_one_pass_or_rejected(text, error):
+    # a pipe cannot seek back to the body, so only the loadtxt pass reads it
+    read, write = os.pipe()
+    os.write(write, text.encode("utf-8"))
+    os.close(write)
+    try:
+        path = f"/dev/fd/{read}"
+        if error is None:
+            np.testing.assert_array_equal(load_csv(path).features, [[0.5]])
+        else:
+            with pytest.raises(DataError, match=rf"{path}: {error}$"):
+                load_csv(path)
+    finally:
+        os.close(read)
 
 
 class TestLabeledDataset:

@@ -34,17 +34,15 @@ import sys
 import tempfile
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
+from unittest import mock
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "perfbench"))
 # importing perfbench/run.py sets its BLAS pin in os.environ; it is handed
 # back, so that an importer and its subprocesses keep their thread counts
 # (each riskfed run below is pinned on its own)
-_environ = os.environ.copy()
-import run as bench  # noqa: E402
-
-os.environ.clear()
-os.environ.update(_environ)
+with mock.patch.dict(os.environ):
+    import run as bench
 
 BENCH_SEED = 1
 JOBS = 2  # riskfed processes at a time
