@@ -63,12 +63,12 @@ def client_eval(features, labels, w, beta, c):
     return loss, grad, gram, m, float(q)
 
 
-def local_sgd(features, labels, w0, anchor, beta, c, epochs, lr, mu, tail):
+def local_sgd(features, labels, w0, mu, beta, c, epochs, lr, tail):
     """Full-batch gradient descent on the tail-penalized local objective.
 
     Each epoch takes one step from the rows whose risk at the current
-    weights exceeds their beta-quantile q. ``mu`` adds a proximal pull
-    toward ``anchor`` (zero for plain averaging clients). ``tail`` holds
+    weights exceeds their beta-quantile q. ``mu`` adds FedProx's pull
+    mu*(w - w0) toward the start weights (mu = 0 is fedavg). ``tail`` holds
     the ascending rows whose risk at ``w0`` exceeds q, as an evaluation at
     ``w0`` found them: the first epoch steps from those rows and scores
     none, and each later epoch scores the rows at its weights.
@@ -87,7 +87,7 @@ def local_sgd(features, labels, w0, anchor, beta, c, epochs, lr, mu, tail):
             np.copyto(part, risks)
             part.partition(k - 1)
             tail = np.greater(risks, part[k - 1], out=above).nonzero()[0]
-        g = w + mu * (w - anchor)
+        g = w + mu * (w - w0)
         xa = features.take(tail, axis=0)
         ya = labels.take(tail)
         g[:d] -= scale * (xa.T @ ya)

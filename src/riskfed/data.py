@@ -119,7 +119,7 @@ def synthetic_records(
     means /= np.linalg.norm(means, axis=1, keepdims=True)
     sectors = rng.integers(0, num_sectors, size=n)
     labels = np.where(rng.random(n) < 0.5, -1.0, 1.0)
-    return SyntheticRecords(labels=labels, sectors=sectors.astype(np.int64),
+    return SyntheticRecords(labels=labels, sectors=sectors,
                             means=means, signal=signal, rng=rng)
 
 

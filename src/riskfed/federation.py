@@ -96,9 +96,9 @@ class ExperimentConfig:
     mu: float = _key(lambda v: v >= 0, ">= 0", default=0.0)
 
     def __post_init__(self):
-        """Resolve the None defaults, then check the ranges (not the synthetic
-        keys' when data_csv is set), the rules joining two keys and that each
-        float is finite, raising the first failure, led by its key's name."""
+        """Resolve the None defaults; check each key in schema order, range
+        (not a synthetic key's with data_csv set) then a float's finiteness,
+        then the joining rules; raise the first failure, led by its key."""
         if self.num_sectors is None:
             object.__setattr__(self, "num_sectors", min(self.clients, 5))
         if self.local_epochs is None:
@@ -110,6 +110,8 @@ class ExperimentConfig:
                     or f.metadata["valid"](value)):
                 raise ConfigurationError(
                     f"{key} = {value!r} out of range, expected {f.metadata['expected']}")
+            if VALUE_TYPES[f.name] is float and not math.isfinite(value):
+                raise ConfigurationError(f"{key} = {value!r} is not finite")
         if self.algorithm == "fral_cse" and self.local_epochs != 0:
             raise ConfigurationError(
                 f"local_epochs = {self.local_epochs!r} must be 0 for fral_cse: "
@@ -117,10 +119,6 @@ class ExperimentConfig:
             )
         if self.mu != 0.0 and self.algorithm != "fedprox":
             raise ConfigurationError("mu applies to the fedprox algorithm only")
-        for key, f in CONFIG_SCHEMA.items():
-            value = getattr(self, f.name)
-            if VALUE_TYPES[f.name] is float and not math.isfinite(value):
-                raise ConfigurationError(f"{key} = {value!r} is not finite")
 
 
 # config-file key -> its ExperimentConfig field, in declaration order; and
@@ -180,8 +178,8 @@ def _fral_step(state: TrainPass, store: ClientStore, config, survivors):
 
 
 def _averaging_step(state: TrainPass, store: ClientStore, config, survivors):
-    """Local full-batch descent with the proximal pull mu*(w - w_t), each
-    survivor on a slice of the store's train rows, then the size-weighted
+    """Local full-batch descent from w_t with the proximal pull mu*(w - w_t),
+    each survivor on a slice of the store's train rows, then the size-weighted
     mean (fedavg is mu = 0), added in survivor order from 0.0; with no local
     epoch the weights stay as broadcast. Each survivor's first epoch steps
     from its tail in ``state``, the evaluation at w_t."""
@@ -199,8 +197,8 @@ def _averaging_step(state: TrainPass, store: ClientStore, config, survivors):
     w_next = np.zeros_like(w)
     for a, n, e, m in zip(starts.tolist(), sizes, ends, counts.tolist()):
         w_next += (n / total_n) * _kernels.local_sgd(
-            features[a:a + n], labels[a:a + n], w, w, config.beta, config.c,
-            config.local_epochs, config.local_lr, config.mu, tails[e - m:e],
+            features[a:a + n], labels[a:a + n], w, config.mu, config.beta,
+            config.c, config.local_epochs, config.local_lr, tails[e - m:e],
         )
     return w_next
 

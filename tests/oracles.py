@@ -8,8 +8,10 @@ q is the smallest risk whose empirical CDF reaches beta. The tail is the
 set of samples whose risk strictly exceeds q; the distortion measure is
 the average risk over that tail, and the hinge surrogate is the mean
 positive part of (risk - q). The tail objective is the L2 regularizer
-plus c (1 - beta) times the CVaR of the risks. A linear system is solved
-exactly in rational arithmetic.
+plus c (1 - beta) times the CVaR of the risks; FedProx's local step
+descends it plus a proximal pull toward the start weights. The
+sensitivity matrix is summed client by client, and a linear system is
+solved exactly in rational arithmetic.
 """
 
 from __future__ import annotations
@@ -72,6 +74,11 @@ def empirical_cdf(risks, alpha: float) -> float:
     return float(np.count_nonzero(risks <= alpha)) / risks.size
 
 
+def brute_force_quantile(risks, beta: float) -> float:
+    """Smallest observed risk whose CDF reaches beta, by trying each one."""
+    return min(a for a in risks if empirical_cdf(risks, a) >= beta)
+
+
 def beta_quantile(risks, beta: float) -> float:
     """Smallest risk value whose empirical CDF reaches beta."""
     risks = _as_risks(risks)
@@ -111,6 +118,41 @@ def hinge_surrogate(risks, q: float) -> float:
     """Mean positive part of (risk - q); always nonnegative."""
     risks = _as_risks(risks)
     return float(np.sum(np.maximum(0.0, risks - q))) / risks.size
+
+
+def frozen_q_loss(w, features, labels, q: float, c: float) -> float:
+    """0.5 ||w||^2 + c times the hinge surrogate of the risks at w, with the
+    threshold q given rather than taken at w."""
+    d = features.shape[1]
+    risks = -labels * (features @ w[:d] + w[d])
+    return 0.5 * float(w @ w) + c * hinge_surrogate(risks, q)
+
+
+def fedprox_local_step(features, labels, w0, mu: float, beta: float, c: float,
+                       epochs: int, lr: float) -> np.ndarray:
+    """FedProx's local descent from w0: epochs full-batch steps of size lr
+    on the frozen-threshold loss plus (mu/2) ||w - w0||^2, the threshold
+    taken anew at each step's weights w. A step's gradient is w minus
+    (c/n) times the sum of y [x; 1] over the tail_rows at w, plus
+    mu (w - w0)."""
+    n = features.shape[0]
+    xb = np.hstack([features, np.ones((n, 1))])
+    w = np.array(w0, dtype=np.float64)
+    for _ in range(epochs):
+        rows = tail_rows(features, labels, w, beta)
+        grad = w - (c / n) * (xb[rows].T @ labels[rows]) + mu * (w - w0)
+        w = w - lr * grad
+    return w
+
+
+def brute_force_sensitivity(reports, c: float, total_n: int) -> np.ndarray:
+    """sum_k (n_k/n)(I + (c/n_k) G_k), one client at a time, from reports
+    that carry each client's size n_k and tail Gram G_k."""
+    p = reports[0].gram.shape[0]
+    s = np.zeros((p, p))
+    for r in reports:
+        s += (r.n_k / total_n) * (np.eye(p) + (c / r.n_k) * r.gram)
+    return s
 
 
 def tail_objective(w, features, labels, beta: float, c: float) -> float:

@@ -16,8 +16,10 @@ from riskfed.sensitivity import aggregate_sensitivity, central_update, client_re
 from conftest import client_records, make_dataset, run_cli
 from oracles import (
     beta_quantile,
+    brute_force_quantile,
+    brute_force_sensitivity,
     distortion_risk,
-    empirical_cdf,
+    frozen_q_loss,
     hinge_surrogate,
     tail_threshold,
 )
@@ -72,11 +74,9 @@ def test_criterion_1_gradient_correctness():
         # freeze the threshold just above q: the strict-exceedance active
         # set is unchanged and no sample sits on the hinge kink
         q_frozen = q + margin / 2
-        xb = np.hstack([data.features, np.ones((n, 1))])
 
         def loss(wv):
-            r = -data.labels * (xb @ wv)
-            return 0.5 * wv @ wv + c * np.sum(np.maximum(0.0, r - q_frozen)) / n
+            return frozen_q_loss(wv, data.features, data.labels, q_frozen, c)
 
         fd = np.empty(d + 1)
         for j in range(d + 1):
@@ -106,7 +106,7 @@ def test_criterion_2_quantile_tail_oracles():
             risks = rng.standard_normal(n)
         beta = float(rng.uniform(0.01, 0.99))
         got = beta_quantile(risks, beta)
-        oracle = min(a for a in risks if empirical_cdf(risks, a) >= beta)
+        oracle = brute_force_quantile(risks, beta)
         if got != oracle:
             failures.append(f"quantile {got} != oracle {oracle}")
         q = got
@@ -144,7 +144,6 @@ def test_criterion_3_curvature_correctness():
         p = int(rng.integers(2, 7))
         reports = []
         for _ in range(int(rng.integers(1, 6))):
-            a = rng.standard_normal((int(rng.integers(1, 6)), p))
             nk = int(rng.integers(1, 9))
             reports.append(client_report(
                 rng.standard_normal(p),
@@ -155,10 +154,7 @@ def test_criterion_3_curvature_correctness():
         total = sum(r.n_k for r in reports)
         c = float(rng.uniform(0.2, 3.0))
         got = aggregate_sensitivity(reports, c, total)
-        brute = np.zeros((p, p))
-        for r in reports:
-            brute += (r.n_k / total) * (np.eye(p) + (c / r.n_k) * r.gram)
-        if not np.allclose(got, brute, atol=1e-12):
+        if not np.allclose(got, brute_force_sensitivity(reports, c, total), atol=1e-12):
             failures.append("aggregate sensitivity != brute force")
 
     for _ in range(100):

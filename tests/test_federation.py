@@ -115,7 +115,12 @@ class TestExperimentConfig:
                                "its central step uses no local training"),
         (dict(algorithm="fedavg", mu=0.1), "mu applies to the fedprox algorithm only"),
         (dict(c=math.inf), "c = inf is not finite"),
-    ], ids=["fral_cse-epochs", "mu-fedprox-only", "finite"])
+        # each key is checked for range, then finiteness, before the next
+        # key, and the rules joining two keys come after every key's checks
+        (dict(c=math.inf, epsilon=-1.0), "c = inf is not finite"),
+        (dict(c=math.inf, algorithm="fedavg", mu=0.5), "c = inf is not finite"),
+    ], ids=["fral_cse-epochs", "mu-fedprox-only", "finite", "finite-before-later-key",
+            "finite-before-join-rule"])
     def test_building_against_a_join_rule_raises_naming_the_key(self, overrides, error):
         with pytest.raises(ConfigurationError) as caught:
             config(**overrides)
@@ -323,7 +328,7 @@ class TestFedproxRound:
                                rng.choice([-1.0, 1.0], 20))]
         w = rng.uniform(-0.1, 0.1, 3)
         # stable proximal regime: lr*mu < 1, enough epochs to converge;
-        # the minimizer sits ||grad||/mu from the anchor
+        # the minimizer sits ||grad||/mu from the broadcast weights
         pinned = config(algorithm="fedprox", mu=1e3, local_lr=1e-4,
                         local_epochs=200)
         free = config(algorithm="fedprox", mu=0.0, local_lr=1e-4,
@@ -540,7 +545,7 @@ class TestBuildClients:
         local_sgd = _kernels.local_sgd
 
         def recorded(features, labels, *args):
-            seen.append((features, labels, args[7]))
+            seen.append((features, labels, args[6]))
             return local_sgd(features, labels, *args)
 
         monkeypatch.setattr(_kernels, "local_sgd", recorded)
@@ -571,8 +576,8 @@ def averaging_step_from_scratch(state, store, config, survivors):
         a, n = int(store.train_starts[cid]), int(store.train_sizes[cid])
         features, labels = store.train.features[a:a + n], store.train.labels[a:a + n]
         w_next += (n / total_n) * _kernels.local_sgd(
-            features, labels, w, w, config.beta, config.c, config.local_epochs,
-            config.local_lr, config.mu, tail_rows(features, labels, w, config.beta))
+            features, labels, w, config.mu, config.beta, config.c, config.local_epochs,
+            config.local_lr, tail_rows(features, labels, w, config.beta))
     return w_next
 
 

@@ -4,7 +4,8 @@ from hypothesis import strategies as st
 
 from riskfed import _kernels
 
-from oracles import beta_quantile, empirical_cdf, tail_rows, tail_threshold
+from oracles import (beta_quantile, empirical_cdf, fedprox_local_step, tail_rows,
+                     tail_threshold)
 
 
 def random_shard(rng, n=None, d=None):
@@ -92,34 +93,48 @@ class TestNumpyBackendAgainstComposition:
     def test_local_sgd_matches_manual_loop(self):
         rng = np.random.default_rng(11)
         features, labels, w0 = random_shard(rng, n=25, d=4)
-        anchor = rng.standard_normal(5)
         # at lr 0.3 the tail moves between epochs, so reusing it would show
         beta, c, lr, mu, epochs = 0.7, 1.3, 0.3, 0.4, 6
         # handed the tail at w0, the kernel steps from it in the first epoch
         tail = tail_rows(features, labels, w0, beta)
-        got = _kernels.local_sgd(features, labels, w0, anchor, beta, c,
-                                 epochs, lr, mu, tail)
+        got = _kernels.local_sgd(features, labels, w0, mu, beta, c, epochs, lr, tail)
         n, d = features.shape
         xb = np.hstack([features, np.ones((n, 1))])
         w, tails = w0.copy(), set()
         for _ in range(epochs):
             rows = tail_rows(features, labels, w, beta)
             tails.add(rows.tobytes())
-            g = w + mu * (w - anchor)
+            g = w + mu * (w - w0)
             g = g - (c / n) * (xb[rows].T @ labels[rows])
             w = w - lr * g
         assert len(tails) > 1
         np.testing.assert_allclose(got, w, atol=1e-12)
         # each later epoch scores the rows at its own weights: one epoch,
-        # then the rest handed the tail at the weights it reached
-        w1 = _kernels.local_sgd(features, labels, w0, anchor, beta, c, 1, lr, mu, tail)
-        rest = _kernels.local_sgd(features, labels, w1, anchor, beta, c, epochs - 1,
-                                  lr, mu, tail_rows(features, labels, w1, beta))
-        assert rest.tobytes() == got.tobytes()
+        # then the rest handed the tail at the weights it reached; at mu = 0,
+        # as there is no pull toward w0, restarting from w1 changes nothing
+        plain = _kernels.local_sgd(features, labels, w0, 0.0, beta, c, epochs, lr, tail)
+        w1 = _kernels.local_sgd(features, labels, w0, 0.0, beta, c, 1, lr, tail)
+        rest = _kernels.local_sgd(features, labels, w1, 0.0, beta, c, epochs - 1,
+                                  lr, tail_rows(features, labels, w1, beta))
+        assert rest.tobytes() == plain.tobytes()
         # and uses the tail as given: without one of its rows the result moves
-        wrong = _kernels.local_sgd(features, labels, w0, anchor, beta, c,
-                                   epochs, lr, mu, tail[1:])
+        wrong = _kernels.local_sgd(features, labels, w0, mu, beta, c,
+                                   epochs, lr, tail[1:])
         assert np.abs(wrong - got).max() > 1e-6
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), mu=st.sampled_from([0.0, 0.1, 1.0]),
+       epochs=st.integers(0, 5), lr=st.floats(0.05, 0.5),
+       beta=st.sampled_from([0.5, 0.8, 0.9]), c=st.sampled_from([0.5, 1.0, 2.0]))
+def test_local_sgd_is_fedprox_local_step(seed, mu, epochs, lr, beta, c):
+    # the kernel, handed the tail at w0, against FedProx's local step
+    # written from its definition, which pulls toward w0 in every epoch
+    features, labels, w0 = random_shard(np.random.default_rng(seed))
+    got = _kernels.local_sgd(features, labels, w0, mu, beta, c, epochs, lr,
+                             tail_rows(features, labels, w0, beta))
+    expected = fedprox_local_step(features, labels, w0, mu, beta, c, epochs, lr)
+    assert np.linalg.norm(got - expected) <= 1e-12 * np.linalg.norm(expected)
 
 
 @settings(max_examples=200, deadline=None)

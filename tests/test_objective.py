@@ -7,15 +7,7 @@ from riskfed.objective import aggregate_gradient
 from riskfed.sensitivity import ClientReport, client_report
 
 from conftest import make_dataset, make_store
-from oracles import beta_quantile, tail_threshold
-
-
-def frozen_q_loss(w, data, q, c):
-    """Loss with an externally frozen threshold; finite-difference oracle."""
-    scores = data.features @ w[:-1] + w[-1]
-    risks = -data.labels * scores
-    hinge = np.sum(np.maximum(0.0, risks - q)) / len(data)
-    return 0.5 * float(w @ w) + c * hinge
+from oracles import beta_quantile, frozen_q_loss, tail_threshold
 
 
 def threshold_q(w, data, beta, c):
@@ -102,12 +94,13 @@ class TestLocalGradient:
                 continue
             ev = client_report(w, data, beta=0.8, c=c)
             q_frozen = q + margin / 2
+            x, y = data.features, data.labels
             fd = np.empty(w.size)
             for j in range(w.size):
                 e = np.zeros(w.size)
                 e[j] = h
-                fd[j] = (frozen_q_loss(w + e, data, q_frozen, c)
-                         - frozen_q_loss(w - e, data, q_frozen, c)) / (2 * h)
+                fd[j] = (frozen_q_loss(w + e, x, y, q_frozen, c)
+                         - frozen_q_loss(w - e, x, y, q_frozen, c)) / (2 * h)
             err = np.linalg.norm(fd - ev.gradient)
             err /= max(1e-12, np.linalg.norm(ev.gradient))
             assert err <= 1e-5

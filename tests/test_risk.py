@@ -3,18 +3,13 @@ import pytest
 
 from oracles import (
     beta_quantile,
+    brute_force_quantile,
     distortion_risk,
     empirical_cdf,
     hinge_surrogate,
     sample_risk,
     tail_threshold,
 )
-
-
-def brute_force_quantile(risks, beta):
-    """Independent oracle: smallest observed risk whose CDF reaches beta."""
-    candidates = [a for a in risks if empirical_cdf(risks, a) >= beta]
-    return min(candidates)
 
 
 class TestSampleRisk:

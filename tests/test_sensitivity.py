@@ -15,22 +15,13 @@ from riskfed.sensitivity import (
 )
 
 from conftest import make_dataset, make_store
-from oracles import exact_solve, tail_objective
+from oracles import brute_force_sensitivity, exact_solve, tail_objective
 
 
 def report_with_gram(gram, n_k):
     g = np.asarray(gram, dtype=np.float64)
     return ClientReport(n_k=n_k, gradient=np.zeros(g.shape[0]), gram=g,
                         local_loss=0.0, active_count=0)
-
-
-def brute_force_sensitivity(reports, c, total_n):
-    """Literal per-client evaluation of sum_k (n_k/n)(I + (c/n_k) G_k)."""
-    p = reports[0].gram.shape[0]
-    s = np.zeros((p, p))
-    for r in reports:
-        s += (r.n_k / total_n) * (np.eye(p) + (c / r.n_k) * r.gram)
-    return s
 
 
 class TestClientGram:
