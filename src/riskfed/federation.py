@@ -179,26 +179,24 @@ def _fral_step(state: TrainPass, store: ClientStore, config, survivors):
 
 def _averaging_step(state: TrainPass, store: ClientStore, config, survivors):
     """Local full-batch descent from w_t with the proximal pull mu*(w - w_t),
-    each survivor on a slice of the store's train rows, then the size-weighted
-    mean (fedavg is mu = 0), added in survivor order from 0.0; with no local
-    epoch the weights stay as broadcast. Each survivor's first epoch steps
-    from its tail in ``state``, the evaluation at w_t."""
+    each survivor on its shard of the store's train rows, then the size-weighted
+    mean (fedavg is mu = 0), added in survivor order from 0.0; zero epochs keep
+    w_t. A survivor's first epoch steps from its slice of the tail-active rows
+    of ``state``, shifted to its shard, so no tail array is built per round."""
     w = state.w
     if config.local_epochs == 0:
         return w
     features, labels = store.train.features, store.train.labels
-    starts = store.train_starts[survivors]
-    counts = state.active_counts[survivors]
-    # every survivor's tail-active rows, counted from its shard's first row
-    tails = state.tail_rows(survivors) - np.repeat(starts, counts)
-    ends = np.cumsum(counts).tolist()
     sizes = store.train_sizes[survivors].tolist()
     total_n = sum(sizes)
     w_next = np.zeros_like(w)
-    for a, n, e, m in zip(starts.tolist(), sizes, ends, counts.tolist()):
+    for a, n, s, m in zip(store.train_starts[survivors].tolist(), sizes,
+                          state.active_starts[survivors].tolist(),
+                          state.active_counts[survivors].tolist()):
         w_next += (n / total_n) * _kernels.local_sgd(
             features[a:a + n], labels[a:a + n], w, config.mu, config.beta,
-            config.c, config.local_epochs, config.local_lr, tails[e - m:e],
+            config.c, config.local_epochs, config.local_lr,
+            state.active_rows[s:s + m] - a,
         )
     return w_next
 

@@ -4,8 +4,8 @@ from hypothesis import strategies as st
 
 from riskfed import _kernels
 
-from oracles import (beta_quantile, empirical_cdf, fedprox_local_step, tail_rows,
-                     tail_threshold)
+from oracles import (beta_quantile, empirical_cdf, fedprox_local_step, frozen_q_loss,
+                     tail_rows, tail_threshold)
 
 
 def random_shard(rng, n=None, d=None):
@@ -71,8 +71,8 @@ class TestNumpyBackendAgainstComposition:
             assert q == beta_quantile(risks, beta)
             mask = risks > q
             assert active == int(np.count_nonzero(mask))
-            hinge = float(np.sum(np.maximum(0.0, risks - q))) / n
-            np.testing.assert_allclose(loss, 0.5 * w @ w + c * hinge, rtol=1e-12)
+            np.testing.assert_allclose(loss, frozen_q_loss(w, features, labels, q, c),
+                                       rtol=1e-12)
             xb = np.hstack([features, np.ones((n, 1))])
             expected_grad = w - (c / n) * (xb[mask].T @ labels[mask]
                                            if mask.any() else np.zeros(d + 1))
@@ -98,17 +98,12 @@ class TestNumpyBackendAgainstComposition:
         # handed the tail at w0, the kernel steps from it in the first epoch
         tail = tail_rows(features, labels, w0, beta)
         got = _kernels.local_sgd(features, labels, w0, mu, beta, c, epochs, lr, tail)
-        n, d = features.shape
-        xb = np.hstack([features, np.ones((n, 1))])
-        w, tails = w0.copy(), set()
-        for _ in range(epochs):
-            rows = tail_rows(features, labels, w, beta)
-            tails.add(rows.tobytes())
-            g = w + mu * (w - w0)
-            g = g - (c / n) * (xb[rows].T @ labels[rows])
-            w = w - lr * g
+        # FedProx's local step after 0..epochs epochs, and the tail of each
+        steps = [fedprox_local_step(features, labels, w0, mu, beta, c, e, lr)
+                 for e in range(epochs + 1)]
+        tails = {tail_rows(features, labels, w, beta).tobytes() for w in steps[:-1]}
         assert len(tails) > 1
-        np.testing.assert_allclose(got, w, atol=1e-12)
+        np.testing.assert_allclose(got, steps[-1], atol=1e-12)
         # each later epoch scores the rows at its own weights: one epoch,
         # then the rest handed the tail at the weights it reached; at mu = 0,
         # as there is no pull toward w0, restarting from w1 changes nothing

@@ -11,6 +11,9 @@ stay the set the benchmark alone names.
 
 Likewise every field of a dataclass is read as an attribute somewhere,
 or is listed in ``UNREAD_FIELDS`` with the reason it stays.
+
+Every name tests/oracles.py defines is read by a test or by another
+oracle, and the oracles import no riskfed module.
 """
 
 import ast
@@ -19,6 +22,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "riskfed"
+ORACLES = ROOT / "tests" / "oracles.py"
 
 
 def definitions(tree):
@@ -134,3 +138,26 @@ def test_readme_lists_exactly_the_names_kept_for_the_benchmark():
     start = readme.index("These names stay in `src` only because")
     listed = set(re.findall(r"`(\w+\.\w+)`", readme[start:readme.index("\n\n", start)]))
     assert listed == kept
+
+
+def test_oracles_import_no_riskfed_module():
+    """An oracle is written from its definition, not from the code it checks."""
+    tree = ast.parse(ORACLES.read_text(encoding="utf-8"))
+    modules = [alias.name for node in ast.walk(tree) if isinstance(node, ast.Import)
+               for alias in node.names]
+    modules += [node.module for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom) and node.module]
+    assert [m for m in modules if m.partition(".")[0] == "riskfed"] == []
+
+
+def test_every_oracle_is_read():
+    """Each name tests/oracles.py defines is read by a test module, or by
+    another oracle outside its own definition."""
+    oracles = ast.parse(ORACLES.read_text(encoding="utf-8"))
+    in_tests = {name for path in ORACLES.parent.glob("*.py") if path != ORACLES
+                for name, _, _ in reads(ast.parse(path.read_text(encoding="utf-8")))}
+    unread = [qualified for qualified, name, node, _ in definitions(oracles)
+              if name not in in_tests
+              and not any(used == name and not node.lineno <= line <= node.end_lineno
+                          for used, line, _ in reads(oracles))]
+    assert unread == []
