@@ -59,11 +59,11 @@ def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return result ^ (result >> np.uint32(_XSHIFT))
 
 
-def _pool(entropy: list[np.ndarray]) -> list[np.ndarray]:
-    """SeedSequence.mix_entropy on columns of uint32 words."""
-    n = entropy[0].shape
+def _pool(entropy: list) -> list[np.ndarray]:
+    """SeedSequence.mix_entropy on uint32 words, each a column of keys or
+    a scalar shared by all keys; the pool broadcasts to the key column."""
     hashmix = _Hash(_INIT_A, _MULT_A)
-    pool = [hashmix(entropy[i] if i < len(entropy) else np.zeros(n, np.uint32))
+    pool = [hashmix(entropy[i] if i < len(entropy) else np.uint32(0))
             for i in range(_POOL_SIZE)]
     for src in range(_POOL_SIZE):
         for dst in range(_POOL_SIZE):
@@ -117,7 +117,7 @@ def first_uniforms(words: list[int], keys) -> np.ndarray:
     if keys.size and (keys.min() < 0 or keys.max() > _MASK32):
         raise ValueError("keys must lie in [0, 2**32)")
     shared = [w for value in words for w in _words(int(value))]
-    entropy = [np.full(keys.shape, w, dtype=np.uint32) for w in shared]
+    entropy = [np.uint32(w) for w in shared]
     entropy.append(keys.astype(np.uint32))
     with np.errstate(over="ignore"):
         seed_hi, seed_lo, inc_hi, inc_lo = _state_words(_pool(entropy))

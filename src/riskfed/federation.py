@@ -6,11 +6,10 @@ the per-round participation and dropout draws all derive from the single
 experiment seed through fixed stream tags. Per-client dropout draws are
 seeded by (seed, round, client). Clients train in one serial loop, and
 every BLAS call runs on one pinned OpenBLAS thread, so no thread count of
-the host changes an outcome. One helper thread (``_blas.both``) overlaps
-whole single-threaded calls of a round that write disjoint outputs: half
-of the scoring and the test accuracy beside the rest of the scoring, and
-X^T y and the column sums beside the tail's Gram product. Each is the
-call a serial pass makes, so no arithmetic changes.
+the host changes an outcome. The evaluation runs on the caller's thread
+alone. Only fral_cse's central step uses ``_blas.both``'s helper
+thread, which forms X^T y and the column sums beside the tail's Gram
+product; each is the call a serial pass makes, so no arithmetic changes.
 
 Clients live in one ``ClientStore``. Set-up draws or loads every record's
 label and sector, partitions them, and only then writes the features,
@@ -291,8 +290,9 @@ def init_weights(d: int, seed: int) -> np.ndarray:
 
 
 def run_experiment(config: ExperimentConfig) -> ExperimentResult:
-    """Run all rounds, every BLAS call on one pinned thread, with one helper
-    thread overlapping whole calls; deterministic per configuration."""
+    """Run all rounds, every BLAS call on one pinned thread; fral_cse's
+    central step overlaps two whole calls on one helper thread.
+    Deterministic per configuration."""
     _blas.pin_one_thread()
     _, plan, store = build_clients(config)
     w0 = init_weights(store.train.dim, _child_seed(config.seed, _INIT_STREAM))

@@ -15,9 +15,8 @@ tail-active rows and local loss, plus the size-weighted train loss and
 the test accuracy. Each quantity is computed with the same
 floating-point operations, on the same values, as the per-client numpy
 kernel ``_kernels.client_eval``, so the results equal it bit for bit.
-The scoring is split at a client bound between the caller's thread and
-``_blas.both``'s helper, which also scores the test set: whole
-single-threaded GEMVs overlap, and no arithmetic changes.
+The evaluation scores the train rows, then the test set, on the caller's
+thread.
 """
 
 from __future__ import annotations
@@ -26,7 +25,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import _blas
 from ._kernels import quantile_rank
 from .data import LabeledDataset
 from .metrics import accuracy
@@ -139,30 +137,15 @@ class ClientStore:
         d = features.shape[1]
         coef = w[:d]
         scores = np.empty(labels.size)
-        # the helper thread scores the train rows from the first client
-        # bound at or past half of all the rows, then the test set; each
-        # GEMV is the one a serial pass makes, so every score keeps its bits
-        bounds = np.append(self.train_starts[self.layout], labels.size)
-        half = (labels.size + len(self.test)) // 2
-        cut = int(bounds[min(np.searchsorted(bounds, half), bounds.size - 1)])
-
-        def score(lo, hi):
-            # One GEMV per client, as the per-client kernel does: a stacked
-            # matmul calls the BLAS once per matrix of the block. A BLAS may
-            # round a row differently depending on where it falls in the
-            # product (OpenBLAS takes the last n mod 4 rows through another
-            # kernel), so one product over the whole store would not match.
-            for n, _, a, b in self.size_groups:
-                a, b = max(a, lo), min(b, hi)
-                if a < b:
-                    np.matmul(features[a:b].reshape(-1, n, d), coef,
-                              out=scores[a:b].reshape(-1, n))
-
-        def side():
-            score(cut, labels.size)
-            return accuracy(w, self.test)
-
-        _, test_accuracy = _blas.both(lambda: score(0, cut), side)
+        # One GEMV per client, as the per-client kernel does: a stacked
+        # matmul calls the BLAS once per matrix of the block. A BLAS may
+        # round a row differently depending on where it falls in the
+        # product (OpenBLAS takes the last n mod 4 rows through another
+        # kernel), so one product over the whole store would not match.
+        for n, _, a, b in self.size_groups:
+            np.matmul(features[a:b].reshape(-1, n, d), coef,
+                      out=scores[a:b].reshape(-1, n))
+        test_accuracy = accuracy(w, self.test)
         risks = -labels * (scores + w[d])
 
         # the k-th smallest risk is one value however it is selected, so
@@ -176,6 +159,7 @@ class ClientStore:
         excess = risks[active_rows] - q_rows[active_rows]
         # each client's run of active_rows, searched at the client bounds in
         # row order: ascending keys search much faster than unsorted ones
+        bounds = np.append(self.train_starts[self.layout], labels.size)
         cuts = np.searchsorted(active_rows, bounds)
         active_starts, active_counts = np.empty_like(sizes), np.empty_like(sizes)
         active_starts[self.layout] = cuts[:-1]

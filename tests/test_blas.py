@@ -1,6 +1,6 @@
 """pin_one_thread's fallbacks: no maps file, and an OpenBLAS that does not
 load; how both() hands its side call to the helper thread and back; and
-that a command with no round starts no thread."""
+that only fral_cse's central step starts the helper thread."""
 
 import io
 import textwrap
@@ -105,3 +105,29 @@ def test_commands_without_a_round_start_no_thread():
     proc = run_python("-c", probe)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1] == "1"
+
+
+def test_only_the_central_step_starts_the_helper(tmp_path):
+    # the evaluation runs on the caller, so the averaging runs start no
+    # thread; fral_cse's tail_system starts the helper, which then stays
+    shards = "clients = 4\nsamples_per_client = 30\nd = 3\nrounds = 2\nseed = 5\n"
+    algorithms = {"fedavg": "algorithm = fedavg\n",
+                  "fedprox": "algorithm = fedprox\nmu = 0.1\nlocal_epochs = 2\n",
+                  "fral_cse": "algorithm = fral_cse\n"}
+    for name, text in algorithms.items():
+        (tmp_path / f"{name}.conf").write_text(text + shards, encoding="utf-8")
+    probe = textwrap.dedent(f"""\
+        import threading
+        from pathlib import Path
+        from riskfed.cli import main
+        root = Path({str(tmp_path)!r})
+        threads = {{}}
+        for name in {list(algorithms)!r}:
+            config, out = root / f"{{name}}.conf", root / name
+            assert main(["run", "--config", str(config), "--out", str(out)]) == 0
+            threads[name] = threading.active_count()
+        print(threads)
+        """)
+    proc = run_python("-c", probe)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == str({"fedavg": 1, "fedprox": 1, "fral_cse": 2})

@@ -1,7 +1,7 @@
 """Property tests: the batched store evaluation and central system against
-the per-client kernels and against a pass with no helper thread, the
-store layout built from an owner array, and the vectorized dropout draws
-against numpy."""
+the per-client kernels, the central system against a pass with no helper
+thread, the store layout built from an owner array, and the vectorized
+dropout draws against numpy."""
 
 from dataclasses import fields
 from unittest import mock
@@ -269,8 +269,7 @@ def split_case(train_sizes, test_sizes, d, seed):
 @st.composite
 def split_stores(draw):
     """A store of one client, of one size group, or of several groups, its
-    train and test sizes drawn apart, so that the helper thread's share
-    starts at any client bound; plus weights, beta, c and survivors."""
+    train and test sizes drawn apart; plus weights, beta, c and survivors."""
     shape = draw(st.sampled_from(["one client", "one group", "groups"]))
     count = 1 if shape == "one client" else draw(st.integers(2, 9))
     if shape == "groups":
@@ -292,10 +291,10 @@ def serial(main, side):
 
 
 @SETTINGS
-# 15 rows: the helper scores from train row 8, inside the one size group
-@example((*split_case([4, 4, 4], [1, 1, 1], 3, seed=0), 0.8, 1.0, [0, 2]))
-# 16 rows: from row 8, inside the group of size 3 that follows two of size 1
-@example((*split_case([3, 1, 3, 3, 1], [1, 1, 1, 1, 1], 2, seed=1), 0.5, 2.5, [1, 2, 3]))
+# an empty survivor tail: a client of one train row has no row above its q
+@example((*split_case([1, 1, 1], [1, 1, 1], 3, seed=0), 0.8, 1.0, [0, 2]))
+# a one-row tail: at beta = 0.5, q is the smaller of client 0's two risks
+@example((*split_case([2, 3], [1, 1], 2, seed=1), 0.5, 2.5, [0]))
 @given(split_stores())
 def test_helper_thread_changes_no_bit(case):
     store, w, beta, c, survivors = case
