@@ -296,12 +296,13 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     _blas.pin_one_thread()
     _, plan, store = build_clients(config)
     w0 = init_weights(store.train.dim, _child_seed(config.seed, _INIT_STREAM))
-    state = store.evaluate(w0, config.beta, config.c)
     round_fn = _ROUND_FN[config.algorithm]
     records = []
-    # a diverging run overflows before the per-round guard names its round;
-    # the guard's NumericalError is the report, not numpy's warnings
+    # a diverging run overflows before the per-round guard names its round,
+    # at the initial weights too; the guard's NumericalError is the report,
+    # not numpy's warnings
     with np.errstate(over="ignore", invalid="ignore"):
+        state = store.evaluate(w0, config.beta, config.c)
         for round_index in range(1, config.rounds + 1):
             try:
                 state, record = round_fn(state, store, config, round_index)

@@ -12,10 +12,16 @@ plus c (1 - beta) times the CVaR of the risks; FedProx's local step
 descends it plus a proximal pull toward the start weights. The
 sensitivity matrix is summed client by client, and a linear system is
 solved exactly in rational arithmetic.
+
+A whole run is replayed from these definitions by ``reference_run``,
+through its named parts: the stream seeds, each client's shards, the
+initial weights, the participation and dropout draws, the two steps and
+the round metrics.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -248,3 +254,157 @@ def exact_solve(a, b) -> list[Fraction]:
                 factor = rows[r][col] / rows[col][col]
                 rows[r] = [v - factor * u for v, u in zip(rows[r], rows[col])]
     return [rows[i][p] / rows[i][i] for i in range(p)]
+
+
+# the stream tags of a run's derived generators
+DATA_STREAM = 1
+PARTITION_STREAM = 2
+INIT_STREAM = 3
+PARTICIPATION_STREAM = 4
+DROPOUT_STREAM = 5
+
+
+def stream_seed(seed: int, stream: int) -> int:
+    """The seed of a run's generator for one stream: the first 64-bit word
+    of SeedSequence([seed, stream])."""
+    return int(np.random.SeedSequence([seed, stream]).generate_state(1, np.uint64)[0])
+
+
+def train_cut(n: int, fraction: float) -> int | None:
+    """How many of a client's n records train: floor(fraction * n), or None
+    where that leaves the train or the test side empty."""
+    cut = math.floor(fraction * n)
+    return cut if 1 <= cut < n else None
+
+
+def client_shards(keys):
+    """Each client's (train, test) shards in id order, each a (features,
+    labels, sectors) triple; None where a run refuses the config: no
+    partition plan exists, or a client's cut leaves a side empty.
+
+    The synthetic records are drawn from the data stream and partitioned
+    by exdir_plan from the partition stream; client k's first
+    train_cut(n_k, train_fraction) records, in temporal order, train.
+    """
+    seed, k = keys["seed"], keys["clients"]
+    data = synthetic_features(k * keys["samples_per_client"], keys["d"],
+                              keys["num_sectors"], stream_seed(seed, DATA_STREAM),
+                              keys["signal"])
+    plan = exdir_plan(data[2], k, keys["C"], keys["alpha"],
+                      stream_seed(seed, PARTITION_STREAM))
+    if plan is None:
+        return None
+    shards = []
+    for records in plan:
+        cut = train_cut(len(records), keys["train_fraction"])
+        if cut is None:
+            return None
+        shards.append(tuple(tuple(a[part] for a in data)
+                            for part in (records[:cut], records[cut:])))
+    return shards
+
+
+def initial_weights(keys) -> np.ndarray:
+    """w0: d + 1 uniforms in [-0.01, 0.01) from the init stream."""
+    rng = np.random.default_rng(stream_seed(keys["seed"], INIT_STREAM))
+    return rng.uniform(-0.01, 0.01, keys["d"] + 1)
+
+
+def round_participants(num_clients: int, rate: float, seed: int, r: int) -> list[int]:
+    """Round r's participants, ascending: max(1, floor(rate * K)) distinct
+    clients drawn by default_rng([seed, r, 4]).choice."""
+    count = max(1, math.floor(rate * num_clients))
+    rng = np.random.default_rng([seed, r, PARTICIPATION_STREAM])
+    return sorted(rng.choice(num_clients, size=count, replace=False).tolist())
+
+
+def dropout_uniform(seed: int, r: int, cid: int) -> float:
+    """Client cid's dropout draw in round r: the first uniform of
+    default_rng([seed, r, 5, cid])."""
+    return float(np.random.default_rng([seed, r, DROPOUT_STREAM, int(cid)]).random())
+
+
+def round_survivors(participants, rate: float, seed: int, r: int) -> list[int]:
+    """The participants, in their order, whose dropout draw in round r is
+    at least rate."""
+    return [int(cid) for cid in participants if dropout_uniform(seed, r, cid) >= rate]
+
+
+def fral_step(w, trains, beta: float, c: float, epsilon: float) -> np.ndarray:
+    """w - (S + epsilon I)^{-1} g over the survivors' train shards: with
+    J_k the [x; 1] rows of shard k's tail_rows at w and n the shards' total
+    rows, S = I + (c/n) sum_k J_k^T J_k and g = w - (c/n) sum_k J_k^T y_k,
+    summed shard by shard."""
+    n = sum(len(y) for _, y, _ in trains)
+    s, g = (1.0 + epsilon) * np.eye(w.size), np.array(w)
+    for x, y, _ in trains:
+        rows = tail_rows(x, y, w, beta)
+        j = np.hstack([x[rows], np.ones((rows.size, 1))])
+        s += (c / n) * (j.T @ j)
+        g -= (c / n) * (j.T @ y[rows])
+    return w - np.linalg.solve(s, g)
+
+
+def averaging_step(w, trains, keys) -> np.ndarray:
+    """The size-weighted mean of each survivor's fedprox_local_step from w,
+    over the survivors' train shards, taken as w plus the mean change, so
+    that zero local epochs keep w."""
+    n = sum(len(y) for _, y, _ in trains)
+    change = np.zeros_like(w)
+    for x, y, _ in trains:
+        change += (len(y) / n) * (fedprox_local_step(
+            x, y, w, keys["mu"], keys["beta"], keys["c"], keys["local_epochs"],
+            keys["local_lr"]) - w)
+    return w + change
+
+
+def round_metrics(w, shards, beta: float, c: float) -> tuple[float, float]:
+    """(train loss, test accuracy) at w: the size-weighted mean of each
+    client's frozen_q_loss at its own beta_quantile, and the fraction of
+    all test rows whose y (<w[:d], x> + w[d]) is positive."""
+    n = sum(len(train[1]) for train, _ in shards)
+    loss = 0.0
+    for (x, y, _), _ in shards:
+        q = beta_quantile(-y * (x @ w[:-1] + w[-1]), beta)
+        loss += (len(y) / n) * frozen_q_loss(w, x, y, q, c)
+    right = sum(int(np.count_nonzero(y * (x @ w[:-1] + w[-1]) > 0))
+                for _, (x, y, _) in shards)
+    return loss, right / sum(len(test[1]) for _, test in shards)
+
+
+def reference_run(keys):
+    """A run of the resolved keys of a synthetic config, as written in
+    resolved_config.txt: its rows (round, train_loss, test_accuracy,
+    participants, completed, step_norm) and its final weights; None where
+    a run refuses the config: client_shards refuses it, or a round's
+    weights, train loss or step norm is not finite.
+
+    Each round draws its participants and their survivors. With
+    survivors, fral_cse takes fral_step and fedavg and fedprox take
+    averaging_step, and the round metrics are taken at the new weights; a
+    round without survivors keeps its weights and metrics.
+    """
+    shards = client_shards(keys)
+    if shards is None:
+        return None
+    seed, beta, c = keys["seed"], keys["beta"], keys["c"]
+    w = initial_weights(keys)
+    loss, acc = round_metrics(w, shards, beta, c)
+    rows = []
+    for r in range(1, keys["rounds"] + 1):
+        chosen = round_participants(keys["clients"], keys["participation_rate"], seed, r)
+        kept = round_survivors(chosen, keys["dropout_rate"], seed, r)
+        w_next = w
+        if kept:
+            trains = [shards[k][0] for k in kept]
+            if keys["algorithm"] == "fral_cse":
+                w_next = fral_step(w, trains, beta, c, keys["epsilon"])
+            else:
+                w_next = averaging_step(w, trains, keys)
+            loss, acc = round_metrics(w_next, shards, beta, c)
+        step = float(np.linalg.norm(w_next - w))
+        if not np.isfinite([*w_next, loss, step]).all():
+            return None
+        rows.append((r, loss, acc, len(chosen), len(kept), step))
+        w = w_next
+    return rows, w

@@ -411,6 +411,28 @@ class TestMainRun:
         assert out.returncode == 4
         assert out.stderr == f"error: {error}\n"
 
+    @pytest.mark.parametrize("rounds", [0, 1])
+    def test_initial_weights_overflow_prints_no_warning(self, tmp_path, rounds):
+        # the train loss at the initial weights overflows to inf; round 1
+        # has no survivor, so its record carries that loss and the guard
+        # names round 1; with no round, nothing non-finite is written
+        text = ("algorithm = fedprox\nclients = 2\nsamples_per_client = 3\n"
+                f"rounds = {rounds}\nseed = 0\nd = 2\nsignal = 1e150\nbeta = 0.5\n"
+                "c = 1e308\nalpha = 100\nparticipation_rate = 0.5\n"
+                "dropout_rate = 0.999999\nnum_sectors = 2\nC = 2\nlocal_lr = 1e200\n"
+                "local_epochs = 3\nmu = 0.1\n")
+        config = write_config(tmp_path, text)
+        out = run_cli("run", "--config", str(config), "--out", str(tmp_path / "o"))
+        if rounds:
+            assert out.returncode == 4
+            assert out.stderr == "error: round 1: train loss is not finite (inf)\n"
+            assert list((tmp_path / "o").glob("*")) == []  # no run directory left
+        else:
+            assert (out.returncode, out.stderr) == (0, "")
+            for artifact in Path(out.stdout.strip()).iterdir():
+                body = artifact.read_text(encoding="utf-8").lower()
+                assert "inf" not in body and "nan" not in body, artifact.name
+
     def test_starved_client_error_names_sector_and_alpha(self, tmp_path, capsys):
         text = ("algorithm = fral_cse\nclients = 1000\nsamples_per_client = 40\n"
                 "rounds = 1\nseed = 7\nd = 30\nnum_sectors = 5\n")

@@ -1,5 +1,4 @@
 import csv
-import math
 import os
 import re
 import warnings
@@ -21,7 +20,7 @@ from riskfed.data import (
 )
 from riskfed.errors import ConfigurationError, DataError
 
-from oracles import synthetic_features
+from oracles import synthetic_features, train_cut
 
 
 class TestGenerateSynthetic:
@@ -495,8 +494,8 @@ def split_cases(draw):
 @given(split_cases())
 def test_split_points_floor_each_client_or_name_the_first_empty_side(case):
     sizes, fraction = case
-    want = [math.floor(fraction * n) for n in sizes]
-    bad = [k for k, (n, cut) in enumerate(zip(sizes, want)) if not 1 <= cut < n]
+    want = [train_cut(n, fraction) for n in sizes]
+    bad = [k for k, cut in enumerate(want) if cut is None]
     if bad:
         k = bad[0]
         with pytest.raises(ConfigurationError) as info:

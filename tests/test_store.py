@@ -22,6 +22,7 @@ from riskfed.sensitivity import aggregate_sensitivity, client_report, tail_syste
 from riskfed.store import ClientStore, TrainPass
 
 from conftest import client_test_shards, make_dataset, make_store
+from oracles import DROPOUT_STREAM, dropout_uniform, tail_rows
 
 SETTINGS = settings(max_examples=150, deadline=None)
 
@@ -223,15 +224,14 @@ def test_evaluate_train_loss_adds_clients_in_order():
 
 
 def survivor_tail(store, w, beta, survivors):
-    """Store rows and features of the survivors' tail-active rows, from the
-    per-client kernel's risks and q, client by client in id order."""
+    """Store rows and features of the survivors' tail_rows, client by
+    client in id order."""
     rows, features, clients = [], [], list(store)
     for k in survivors:
         train = clients[k].train
-        risks = -train.labels * _kernels.linear_scores(train.features, w)
-        q = _kernels.client_eval(train.features, train.labels, w, beta, 0.0)[4]
-        rows.append(store.train_starts[k] + np.flatnonzero(risks > q))
-        features.append(train.features[risks > q])
+        tail = tail_rows(train.features, train.labels, w, beta)
+        rows.append(store.train_starts[k] + tail)
+        features.append(train.features[tail])
     return np.concatenate(rows), np.concatenate(features)
 
 
@@ -318,17 +318,18 @@ def test_helper_thread_changes_no_bit(case):
 def test_first_uniforms_equal_default_rng(seed):
     keys = np.concatenate(([0, 1, 2**32 - 1], np.arange(2, 400)))
     for rnd in (0, 1, 17):
-        expected = [np.random.default_rng([seed, rnd, 5, int(k)]).random()
-                    for k in keys]
-        np.testing.assert_array_equal(first_uniforms([seed, rnd, 5], keys), expected)
+        expected = [dropout_uniform(seed, rnd, k) for k in keys]
+        np.testing.assert_array_equal(first_uniforms([seed, rnd, DROPOUT_STREAM], keys),
+                                      expected)
 
 
 @settings(max_examples=60, deadline=None)
 @given(st.integers(0, 2**64), st.integers(0, 2**40),
        st.lists(st.integers(0, 2**32 - 1), max_size=20))
 def test_first_uniforms_random_words(seed, rnd, keys):
-    expected = [np.random.default_rng([seed, rnd, 5, k]).random() for k in keys]
-    np.testing.assert_array_equal(first_uniforms([seed, rnd, 5], keys), expected)
+    expected = [dropout_uniform(seed, rnd, k) for k in keys]
+    np.testing.assert_array_equal(first_uniforms([seed, rnd, DROPOUT_STREAM], keys),
+                                  expected)
 
 
 def test_first_uniforms_rejects_multiword_keys():
