@@ -105,7 +105,11 @@ def central_update(
     Cholesky is normwise backward stable (Higham 2002, ch. 10): the step
     solves (S + eps*I + E) s = g exactly, ||E|| a small multiple of the
     unit roundoff times ||S + eps*I||. A system with a non-finite entry,
-    as finite but huge features make, is a NumericalError.
+    as finite but huge features make, is a NumericalError, and so is one
+    the factorization rejects. The message blames the scale when the
+    smallest eigenvalue is positive or within the eigensolver's rounding
+    (p unit roundoffs of the largest) of zero: a run's S is at least I,
+    but entries near 1e300 round the identity away.
     """
     a = np.array(s, dtype=np.float64)
     a[np.diag_indices(a.shape[0])] += epsilon
@@ -114,7 +118,14 @@ def central_update(
     try:
         step = scipy.linalg.cho_solve(scipy.linalg.cho_factor(a, lower=True), g)
     except scipy.linalg.LinAlgError as exc:
-        smallest = float(np.linalg.eigvalsh(a)[0])
+        eigenvalues = np.linalg.eigvalsh(a)
+        smallest, largest = float(eigenvalues[0]), float(eigenvalues[-1])
+        rounding = a.shape[0] * np.finfo(np.float64).eps * float(np.abs(eigenvalues).max())
+        if smallest > -rounding:
+            raise NumericalError(
+                f"sensitivity system is too large in scale to factor "
+                f"(eigenvalues {smallest:.3e} to {largest:.3e})"
+            ) from exc
         raise NumericalError(
             f"sensitivity system is not positive definite "
             f"(smallest eigenvalue {smallest:.3e}): {exc}"

@@ -1,17 +1,17 @@
-"""Reference oracles for the tests: the linear score, the empirical risk
-distribution with its tail threshold and tail measures, the partition
-plan and the synthetic generator, written from their definitions and
+"""Reference oracles for the tests, written from their definitions and
 independent of the code they check: nothing here imports riskfed.
 
-A risk vector holds one risk per sample at fixed weights. The threshold
-q is the smallest risk whose empirical CDF reaches beta. The tail is the
-set of samples whose risk strictly exceeds q; the distortion measure is
-the average risk over that tail, and the hinge surrogate is the mean
-positive part of (risk - q). The tail objective is the L2 regularizer
-plus c (1 - beta) times the CVaR of the risks; FedProx's local step
-descends it plus a proximal pull toward the start weights. The
-sensitivity matrix is summed client by client, and a linear system is
-solved exactly in rational arithmetic.
+The score of a row x at weights w is <w[:d], x> + w[d], and its risk is
+-y times the score (``risks`` for a shard, ``sample_risk`` for one row).
+The threshold q is the smallest risk whose empirical CDF reaches beta.
+The tail is the set of samples whose risk strictly exceeds q; the
+distortion measure is the average risk over that tail, and the hinge
+surrogate is the mean positive part of (risk - q). The tail objective is
+the L2 regularizer plus c (1 - beta) times the CVaR of the risks;
+FedProx's local step descends it plus a proximal pull toward the start
+weights. The sensitivity matrix is summed client by client, and a linear
+system is solved exactly in rational arithmetic. The partition plan and
+the synthetic generator are replayed from their seeds.
 
 A whole run is replayed from these definitions by ``reference_run``,
 through its named parts: the stream seeds, each client's shards, the
@@ -103,12 +103,17 @@ def tail_threshold(risks, beta: float) -> TailThreshold:
     return TailThreshold(q=q, beta=beta, tail_indices=indices)
 
 
-def tail_rows(features, labels, w, beta: float) -> np.ndarray:
-    """The ascending rows of a shard whose risk -y (<w[:d], x> + w[d]) at w
-    strictly exceeds the shard's beta-quantile."""
+def risks(w, features, labels) -> np.ndarray:
+    """Each row's risk -y (<w[:d], x> + w[d]) at w."""
     d = features.shape[1]
-    risks = -labels * (features @ w[:d] + w[d])
-    return np.flatnonzero(risks > beta_quantile(risks, beta))
+    return -labels * (features @ w[:d] + w[d])
+
+
+def tail_rows(features, labels, w, beta: float) -> np.ndarray:
+    """The ascending rows of a shard whose risk at w strictly exceeds the
+    shard's beta-quantile."""
+    r = risks(w, features, labels)
+    return np.flatnonzero(r > beta_quantile(r, beta))
 
 
 def distortion_risk(risks, beta: float) -> float:
@@ -129,9 +134,7 @@ def hinge_surrogate(risks, q: float) -> float:
 def frozen_q_loss(w, features, labels, q: float, c: float) -> float:
     """0.5 ||w||^2 + c times the hinge surrogate of the risks at w, with the
     threshold q given rather than taken at w."""
-    d = features.shape[1]
-    risks = -labels * (features @ w[:d] + w[d])
-    return 0.5 * float(w @ w) + c * hinge_surrogate(risks, q)
+    return 0.5 * float(w @ w) + c * hinge_surrogate(risks(w, features, labels), q)
 
 
 def fedprox_local_step(features, labels, w0, mu: float, beta: float, c: float,
@@ -361,14 +364,13 @@ def averaging_step(w, trains, keys) -> np.ndarray:
 def round_metrics(w, shards, beta: float, c: float) -> tuple[float, float]:
     """(train loss, test accuracy) at w: the size-weighted mean of each
     client's frozen_q_loss at its own beta_quantile, and the fraction of
-    all test rows whose y (<w[:d], x> + w[d]) is positive."""
+    all test rows whose risk is negative."""
     n = sum(len(train[1]) for train, _ in shards)
     loss = 0.0
     for (x, y, _), _ in shards:
-        q = beta_quantile(-y * (x @ w[:-1] + w[-1]), beta)
+        q = beta_quantile(risks(w, x, y), beta)
         loss += (len(y) / n) * frozen_q_loss(w, x, y, q, c)
-    right = sum(int(np.count_nonzero(y * (x @ w[:-1] + w[-1]) > 0))
-                for _, (x, y, _) in shards)
+    right = sum(int(np.count_nonzero(risks(w, x, y) < 0)) for _, (x, y, _) in shards)
     return loss, right / sum(len(test[1]) for _, test in shards)
 
 

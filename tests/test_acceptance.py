@@ -2,6 +2,10 @@
 
 Run with ``pytest tests/test_acceptance.py -v -s`` to see the lines as
 they print.
+
+Each criterion that checks a property a unit test also checks calls
+that unit test's ``check_*`` function, with its own seed, case count and
+tolerance, so the property is written once.
 """
 
 import time
@@ -11,18 +15,13 @@ import numpy as np
 from riskfed.cli import main
 from riskfed.federation import ExperimentConfig, build_data_and_plan, run_experiment
 from riskfed.partition import exdir_partition
-from riskfed.sensitivity import aggregate_sensitivity, central_update, client_report
 
-from conftest import client_records, make_dataset, run_cli
-from oracles import (
-    beta_quantile,
-    brute_force_quantile,
-    brute_force_sensitivity,
-    distortion_risk,
-    frozen_q_loss,
-    hinge_surrogate,
-    tail_threshold,
-)
+from conftest import make_dataset, make_store, run_cli
+from oracles import brute_force_quantile, hinge_surrogate
+from test_federation import check_c_zero_rounds
+from test_objective import check_finite_differences
+from test_partition import check_equal_shares, check_partition
+from test_sensitivity import check_gram, check_sensitivity_sum, check_solve_residual
 
 
 def report(num, name, ok, elapsed, detail=""):
@@ -52,40 +51,8 @@ def rounds_to_fraction_of_final(accuracies, fraction=0.95):
 
 
 def test_criterion_1_gradient_correctness():
-    rng = np.random.default_rng(101)
-    h = 1e-5
-    margin = 1e-3
     start = time.perf_counter()
-    worst = 0.0
-    checked = 0
-    while checked < 100:
-        d = int(rng.integers(2, 11))
-        n = int(rng.integers(2, 21))
-        data = make_dataset(rng.standard_normal((n, d)),
-                            rng.choice([-1.0, 1.0], n))
-        w = rng.standard_normal(d + 1)
-        c = float(rng.choice([0.5, 1.0, 2.0]))
-        risks = -data.labels * (data.features @ w[:-1] + w[-1])
-        q = beta_quantile(risks, 0.8)
-        gaps = np.abs(risks - q)
-        if np.any((gaps > 0) & (gaps < margin)):
-            continue
-        grad = client_report(w, data, beta=0.8, c=c).gradient
-        # freeze the threshold just above q: the strict-exceedance active
-        # set is unchanged and no sample sits on the hinge kink
-        q_frozen = q + margin / 2
-
-        def loss(wv):
-            return frozen_q_loss(wv, data.features, data.labels, q_frozen, c)
-
-        fd = np.empty(d + 1)
-        for j in range(d + 1):
-            e = np.zeros(d + 1)
-            e[j] = h
-            fd[j] = (loss(w + e) - loss(w - e)) / (2 * h)
-        err = np.linalg.norm(fd - grad) / max(1e-12, np.linalg.norm(grad))
-        worst = max(worst, err)
-        checked += 1
+    worst = check_finite_differences(np.random.default_rng(101), 100)
     elapsed = time.perf_counter() - start
     ok = worst <= 1e-5 and elapsed < 5.0
     report(1, "gradient vs finite differences", ok, elapsed,
@@ -95,7 +62,10 @@ def test_criterion_1_gradient_correctness():
 
 
 def test_criterion_2_quantile_tail_oracles():
+    # one-client stores whose risks at w = [1, 0] are the drawn values:
+    # with d = 1, x = risk and labels -1, the store sees exactly them
     rng = np.random.default_rng(102)
+    w = np.array([1.0, 0.0])
     start = time.perf_counter()
     failures = []
     for _ in range(200):
@@ -105,19 +75,21 @@ def test_criterion_2_quantile_tail_oracles():
         else:
             risks = rng.standard_normal(n)
         beta = float(rng.uniform(0.01, 0.99))
-        got = beta_quantile(risks, beta)
-        oracle = brute_force_quantile(risks, beta)
-        if got != oracle:
-            failures.append(f"quantile {got} != oracle {oracle}")
-        q = got
-        tail = tail_threshold(risks, beta)
-        lhs = hinge_surrogate(risks, q)
-        rhs = (tail.tail_indices.size / n) * (distortion_risk(risks, beta) - q)
-        if abs(lhs - rhs) > 1e-12:
-            failures.append(f"hinge identity off by {abs(lhs - rhs):.2e}")
+        shard = make_dataset(risks[:, None], -np.ones(n))
+        state = make_store([(shard, shard)]).evaluate(w, beta, 1.0)
+        q = brute_force_quantile(risks, beta)
+        if state.q[0] != q:
+            failures.append(f"quantile {state.q[0]} != oracle {q}")
+        if state.active_counts[0] != np.count_nonzero(risks > q):
+            failures.append(f"{state.active_counts[0]} tail rows, not "
+                            f"{np.count_nonzero(risks > q)}")
+        # the loss is 0.5 ||w||^2 = 0.5 plus c = 1 times the hinge surrogate
+        off = abs(state.losses[0] - (0.5 + hinge_surrogate(risks, q)))
+        if off > 1e-12:
+            failures.append(f"loss off the hinge surrogate by {off:.2e}")
     elapsed = time.perf_counter() - start
     ok = not failures and elapsed < 1.0
-    report(2, "quantile/tail oracle suite", ok, elapsed,
+    report(2, "store threshold vs quantile/tail oracles", ok, elapsed,
            failures[0] if failures else "")
     assert not failures, failures[:3]
     assert elapsed < 1.0
@@ -126,67 +98,28 @@ def test_criterion_2_quantile_tail_oracles():
 def test_criterion_3_curvature_correctness():
     rng = np.random.default_rng(103)
     start = time.perf_counter()
-    failures = []
-    for _ in range(100):
-        d = int(rng.integers(2, 8))
-        n = int(rng.integers(2, 25))
-        data = make_dataset(rng.standard_normal((n, d)),
-                            rng.choice([-1.0, 1.0], n))
-        w = rng.standard_normal(d + 1)
-        gram = client_report(w, data, beta=0.8, c=1.0).gram
-        if not np.allclose(gram, gram.T, atol=1e-12):
-            failures.append("gram not symmetric")
-        v = rng.standard_normal(d + 1)
-        if v @ gram @ v < -1e-10:
-            failures.append("gram not PSD")
-
-    for _ in range(100):
-        p = int(rng.integers(2, 7))
-        reports = []
-        for _ in range(int(rng.integers(1, 6))):
-            nk = int(rng.integers(1, 9))
-            reports.append(client_report(
-                rng.standard_normal(p),
-                make_dataset(rng.standard_normal((nk, p - 1)),
-                             rng.choice([-1.0, 1.0], nk)),
-                beta=0.8, c=1.0,
-            ))
-        total = sum(r.n_k for r in reports)
-        c = float(rng.uniform(0.2, 3.0))
-        got = aggregate_sensitivity(reports, c, total)
-        if not np.allclose(got, brute_force_sensitivity(reports, c, total), atol=1e-12):
-            failures.append("aggregate sensitivity != brute force")
-
-    for _ in range(100):
-        p = int(rng.integers(1, 17))
-        a = rng.standard_normal((p + 2, p))
-        s = a.T @ a
-        eps = float(rng.uniform(1e-4, 1.0))
-        g = rng.standard_normal(p) * float(rng.uniform(0.1, 20))
-        w = rng.standard_normal(p)
-        step = w - central_update(w, s, g, epsilon=eps)
-        resid = np.linalg.norm((s + eps * np.eye(p)) @ step - g)
-        if resid > 1e-8 * max(1.0, np.linalg.norm(g)):
-            failures.append(f"solve residual {resid:.2e}")
+    asymmetry, curvature = check_gram(rng, 100)
+    sum_error = check_sensitivity_sum(rng, 100)
+    residual = check_solve_residual(rng, 100)
+    failures = [failure for failure, bad in (
+        (f"gram asymmetric by {asymmetry:.2e}", asymmetry > 1e-12),
+        (f"gram not PSD: v^T G v = {curvature:.2e}", curvature < -1e-10),
+        (f"aggregate sensitivity off brute force by {sum_error:.2e}", sum_error > 1e-12),
+        (f"solve residual {residual:.2e}", residual > 1e-8),
+    ) if bad]
     elapsed = time.perf_counter() - start
     report(3, "curvature correctness", not failures, elapsed,
            failures[0] if failures else "")
-    assert not failures, failures[:3]
+    assert not failures, failures
 
 
 def test_criterion_4_closed_form_round():
     start = time.perf_counter()
-    cfg_kw = dict(algorithm="fral_cse", clients=6, samples_per_client=50,
-                  rounds=1, seed=17, d=5, c=0.0, epsilon=0.001,
-                  participation_rate=1.0, dropout_rate=0.0)
-    first = run_experiment(ExperimentConfig(**cfg_kw))
-    second = run_experiment(ExperimentConfig(**cfg_kw))
-    w0 = run_experiment(ExperimentConfig(**{**cfg_kw, "rounds": 0})).final_weights
-    ratio = 0.001 / 1.001
-    expected = ratio * w0
-    rel = np.max(np.abs(first.final_weights - expected)
-                 / np.maximum(1e-300, np.abs(expected)))
-    bitwise = np.array_equal(first.final_weights, second.final_weights)
+    cfg = ExperimentConfig(algorithm="fral_cse", clients=6, samples_per_client=50,
+                           rounds=1, seed=17, d=5, c=0.0, epsilon=0.001,
+                           participation_rate=1.0, dropout_rate=0.0)
+    rel, first = check_c_zero_rounds(cfg)
+    bitwise = np.array_equal(first, run_experiment(cfg).final_weights)
     elapsed = time.perf_counter() - start
     ok = rel <= 1e-12 and bitwise
     report(4, "closed-form regularizer-only round", ok, elapsed,
@@ -292,28 +225,6 @@ def test_criterion_8_run_determinism(tmp_path):
     assert not failures, failures
 
 
-def partition_failures(plan, data, labels_per_client):
-    """What breaks the partition's definition: each record on exactly one
-    client in range, no client empty, each client's records ascending,
-    and at most C sectors per client."""
-    failures = []
-    order, sizes = plan.order(), plan.sizes()
-    if sorted(order.tolist()) != list(range(len(data))):
-        failures.append("records not listed exactly once")
-    if plan.owner.min() < 0 or plan.owner.max() >= plan.num_clients:
-        failures.append("client id out of range")
-    if sizes.size != plan.num_clients or sizes.min() == 0:
-        failures.append("a client holds no records")
-    for client, idx in enumerate(client_records(plan)):
-        if np.any(plan.owner[idx] != client):
-            failures.append(f"client {client} lists another client's records")
-        if np.any(np.diff(idx) <= 0):
-            failures.append(f"client {client} breaks temporal order")
-        if np.unique(data.sectors[idx]).size > labels_per_client:
-            failures.append(f"client {client} holds more than C sectors")
-    return failures
-
-
 def test_criterion_9_partition_validity():
     start = time.perf_counter()
     failures = []
@@ -325,24 +236,14 @@ def test_criterion_9_partition_validity():
     ]
     for cfg in sweep:
         data, plan = build_data_and_plan(cfg)
-        failures.extend(partition_failures(plan, data, cfg.labels_per_client))
+        failures += check_partition(plan, data, cfg.clients, cfg.labels_per_client)
 
     data, _ = build_data_and_plan(sweep[0])
     concentrated = exdir_partition(data.sectors, num_clients=10, labels_per_client=1,
                                    alpha=1e6, seed=99)
-    if partition_failures(concentrated, data, 1):
+    if check_partition(concentrated, data, 10, 1):
         failures.append("concentrated-alpha plan invalid")
-    for sector in np.unique(data.sectors):
-        group_total = int(np.count_nonzero(data.sectors == sector))
-        sizes = [int(np.count_nonzero(data.sectors[idx] == sector))
-                 for idx in client_records(concentrated)
-                 if np.any(data.sectors[idx] == sector)]
-        share = group_total / len(sizes)
-        for size in sizes:
-            if abs(size - share) > 1.0:
-                failures.append(
-                    f"sector {sector}: share {size} vs equal {share:.1f}"
-                )
+    failures += check_equal_shares(concentrated, data)
     elapsed = time.perf_counter() - start
     report(9, "partition validity across the sweep", not failures, elapsed,
            failures[0] if failures else "")

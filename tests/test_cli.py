@@ -387,6 +387,22 @@ class TestMainRun:
         assert "round 9: train loss is not finite" in capsys.readouterr().err
         assert list((tmp_path / "o").glob("*")) == []  # no run directory left
 
+    @pytest.mark.parametrize("c", ["1e308", "1e150"])
+    def test_curvature_too_large_to_factor_blames_the_scale(self, tmp_path, capsys, c):
+        # S + eps I is at least (1 + eps) I, but beside entries near c the
+        # identity rounds away and the factorization fails in round 2; the
+        # smallest eigenvalue reads 1.7e+291 at c = 1e308, and -1.8e+134,
+        # within the eigensolver's rounding of zero, at c = 1e150
+        text = ("algorithm = fral_cse\nclients = 1\nsamples_per_client = 20\n"
+                "rounds = 2\nseed = 2\nd = 4\nnum_sectors = 3\nC = 3\nalpha = 1e150\n"
+                f"c = {c}\n")
+        config = write_config(tmp_path, text)
+        code = main(["run", "--config", str(config), "--out", str(tmp_path / "o")])
+        assert code == 4
+        assert capsys.readouterr().err.startswith(
+            "error: round 2: sensitivity system is too large in scale to factor")
+        assert list((tmp_path / "o").glob("*")) == []  # no run directory left
+
     @pytest.mark.parametrize("overrides, error", [
         # the quickstart as fedavg: w @ w and the step norm overflow first
         ("algorithm = fedavg\nlocal_lr = 1e6\n",

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 from riskfed import _kernels
 
 from oracles import (beta_quantile, empirical_cdf, fedprox_local_step, frozen_q_loss,
-                     tail_rows, tail_threshold)
+                     risks, tail_rows, tail_threshold)
 
 
 def random_shard(rng, n=None, d=None):
@@ -67,9 +67,9 @@ class TestNumpyBackendAgainstComposition:
                 features, labels, w, beta, c
             )
             n, d = features.shape
-            risks = -labels * (features @ w[:d] + w[d])
-            assert q == beta_quantile(risks, beta)
-            mask = risks > q
+            r = risks(w, features, labels)
+            assert q == beta_quantile(r, beta)
+            mask = r > q
             assert active == int(np.count_nonzero(mask))
             np.testing.assert_allclose(loss, frozen_q_loss(w, features, labels, q, c),
                                        rtol=1e-12)

@@ -33,9 +33,10 @@ def definitions(tree):
             yield node.name, node.name, node, False
         elif isinstance(node, (ast.Assign, ast.AnnAssign)):
             targets = node.targets if isinstance(node, ast.Assign) else [node.target]
-            for target in targets:
-                if isinstance(target, ast.Name):
-                    yield target.id, target.id, node, False
+            # a tuple, list or starred target binds each name stored in it
+            for name in (n for target in targets for n in ast.walk(target)):
+                if isinstance(name, ast.Name) and isinstance(name.ctx, ast.Store):
+                    yield name.id, name.id, node, False
         if isinstance(node, ast.ClassDef):
             for item in node.body:
                 if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
@@ -150,14 +151,28 @@ def test_oracles_import_no_riskfed_module():
     assert [m for m in modules if m.partition(".")[0] == "riskfed"] == []
 
 
+def unread_definitions(tree, read_elsewhere):
+    """The names tree defines that are neither in read_elsewhere nor read in
+    tree outside their own definition."""
+    return [qualified for qualified, name, node, _ in definitions(tree)
+            if name not in read_elsewhere
+            and not any(used == name and not node.lineno <= line <= node.end_lineno
+                        for used, line, _ in reads(tree))]
+
+
 def test_every_oracle_is_read():
     """Each name tests/oracles.py defines is read by a test module, or by
     another oracle outside its own definition."""
     oracles = ast.parse(ORACLES.read_text(encoding="utf-8"))
     in_tests = {name for path in ORACLES.parent.glob("*.py") if path != ORACLES
                 for name, _, _ in reads(ast.parse(path.read_text(encoding="utf-8")))}
-    unread = [qualified for qualified, name, node, _ in definitions(oracles)
-              if name not in in_tests
-              and not any(used == name and not node.lineno <= line <= node.end_lineno
-                          for used, line, _ in reads(oracles))]
-    assert unread == []
+    assert unread_definitions(oracles, in_tests) == []
+
+
+def test_tuple_and_starred_targets_are_definitions():
+    """A name bound inside a tuple, list or starred target is defined, so
+    it is reported when nothing reads it; a subscript target defines
+    nothing."""
+    tree = ast.parse("A, (B, *C) = 1, (2, 3)\n[D] = [4]\nE = {}\nE[A] = B\n")
+    assert [name for _, name, _, _ in definitions(tree)] == ["A", "B", "C", "D", "E"]
+    assert unread_definitions(tree, set()) == ["C", "D"]

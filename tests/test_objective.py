@@ -7,7 +7,7 @@ from riskfed.objective import aggregate_gradient
 from riskfed.sensitivity import ClientReport, client_report
 
 from conftest import make_dataset, make_store
-from oracles import beta_quantile, frozen_q_loss, tail_threshold
+from oracles import beta_quantile, frozen_q_loss, risks, tail_threshold
 
 
 def threshold_q(w, data, beta, c):
@@ -22,6 +22,39 @@ def random_instance(rng):
                         rng.choice([-1.0, 1.0], n))
     w = rng.standard_normal(d + 1)
     return w, data
+
+
+def check_finite_differences(rng, cases: int) -> float:
+    """The worst relative error of client_report's gradient against central
+    differences of frozen_q_loss, over cases random shards at beta 0.8.
+
+    q is itself an order statistic, so samples sitting exactly at q are
+    unavoidable; the frozen threshold is nudged half the kink margin
+    above q, which keeps the strict-exceedance active set identical
+    while moving every sample clear of the hinge kink. A shard with a
+    risk within the margin of q, but not at it, is drawn again."""
+    h = 1e-5
+    margin = 1e-3
+    worst = 0.0
+    checked = 0
+    while checked < cases:
+        w, data = random_instance(rng)
+        c = float(rng.choice([0.5, 1.0, 2.0]))
+        x, y = data.features, data.labels
+        r = risks(w, x, y)
+        q = beta_quantile(r, 0.8)
+        gaps = np.abs(r - q)
+        if np.any((gaps > 0) & (gaps < margin)):
+            continue
+        grad = client_report(w, data, beta=0.8, c=c).gradient
+        q_frozen = q + margin / 2
+        fd = np.array([(frozen_q_loss(w + e, x, y, q_frozen, c)
+                        - frozen_q_loss(w - e, x, y, q_frozen, c)) / (2 * h)
+                       for e in h * np.eye(w.size)])
+        err = np.linalg.norm(fd - grad) / max(1e-12, np.linalg.norm(grad))
+        worst = max(worst, err)
+        checked += 1
+    return worst
 
 
 class TestLocalLoss:
@@ -76,42 +109,13 @@ class TestLocalGradient:
         np.testing.assert_array_equal(ev.gradient, w)
 
     def test_finite_difference_agreement(self):
-        # q is itself an order statistic, so samples sitting exactly at q are
-        # unavoidable; the frozen threshold is nudged half the kink margin
-        # above q, which keeps the strict-exceedance active set identical
-        # while moving every sample clear of the hinge kink.
-        rng = np.random.default_rng(31)
-        h = 1e-5
-        margin = 1e-3
-        checked = 0
-        while checked < 100:
-            w, data = random_instance(rng)
-            c = float(rng.choice([0.5, 1.0, 2.0]))
-            risks = -data.labels * (data.features @ w[:-1] + w[-1])
-            q = beta_quantile(risks, 0.8)
-            gaps = np.abs(risks - q)
-            if np.any((gaps > 0) & (gaps < margin)):
-                continue
-            ev = client_report(w, data, beta=0.8, c=c)
-            q_frozen = q + margin / 2
-            x, y = data.features, data.labels
-            fd = np.empty(w.size)
-            for j in range(w.size):
-                e = np.zeros(w.size)
-                e[j] = h
-                fd[j] = (frozen_q_loss(w + e, x, y, q_frozen, c)
-                         - frozen_q_loss(w - e, x, y, q_frozen, c)) / (2 * h)
-            err = np.linalg.norm(fd - ev.gradient)
-            err /= max(1e-12, np.linalg.norm(ev.gradient))
-            assert err <= 1e-5
-            checked += 1
+        assert check_finite_differences(np.random.default_rng(31), 100) <= 1e-5
 
     def test_active_count_matches_tail(self):
         rng = np.random.default_rng(37)
         for _ in range(30):
             w, data = random_instance(rng)
-            risks = -data.labels * (data.features @ w[:-1] + w[-1])
-            tail = tail_threshold(risks, 0.8)
+            tail = tail_threshold(risks(w, data.features, data.labels), 0.8)
             ev = client_report(w, data, beta=0.8, c=1.0)
             assert ev.active_count == tail.tail_indices.size
 

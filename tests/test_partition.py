@@ -24,6 +24,44 @@ def sectored_dataset(counts, seed=0):
                         rng.choice([-1.0, 1.0], n), sectors)
 
 
+def check_partition(plan, data, num_clients: int, labels_per_client: int) -> list[str]:
+    """What breaks the partition's definition: num_clients clients, each
+    record on exactly one client in range, no client empty, each client's
+    records ascending, and at most C sectors per client."""
+    failures = []
+    order, sizes = plan.order(), plan.sizes()
+    if plan.num_clients != num_clients or sizes.size != num_clients:
+        failures.append(f"{sizes.size} clients, not {num_clients}")
+    if (plan.owner.shape != (len(data),) or sizes.sum() != len(data)
+            or sorted(order.tolist()) != list(range(len(data)))):
+        failures.append("records not listed exactly once")
+    if plan.owner.min() < 0 or plan.owner.max() >= plan.num_clients:
+        failures.append("client id out of range")
+    if sizes.min() == 0:
+        failures.append("a client holds no records")
+    for client, idx in enumerate(client_records(plan)):
+        if np.any(plan.owner[idx] != client):
+            failures.append(f"client {client} lists another client's records")
+        if np.any(np.diff(idx) <= 0):
+            failures.append(f"client {client} breaks temporal order")
+        if np.unique(data.sectors[idx]).size > labels_per_client:
+            failures.append(f"client {client} holds more than C sectors")
+    return failures
+
+
+def check_equal_shares(plan, data) -> list[str]:
+    """Each holder's share of a sector that lies more than one record from
+    an equal split of the sector among its holders."""
+    failures = []
+    for sector in np.unique(data.sectors).tolist():
+        sizes = [int(np.count_nonzero(data.sectors[idx] == sector))
+                 for idx in client_records(plan) if np.any(data.sectors[idx] == sector)]
+        share = int(np.count_nonzero(data.sectors == sector)) / len(sizes)
+        failures += [f"sector {sector}: share {size} vs equal {share:.1f}"
+                     for size in sizes if abs(size - share) > 1.0]
+    return failures
+
+
 class TestExdirPartition:
     def test_single_client_gets_everything_in_order(self):
         data = sectored_dataset([6, 5, 4])
@@ -59,21 +97,12 @@ class TestExdirPartition:
         data = sectored_dataset([100, 100], seed=2)
         plan = exdir_partition(data.sectors, num_clients=4, labels_per_client=1,
                                alpha=1e6, seed=11)
-        for sector in (0, 1):
-            sizes = [
-                int(np.count_nonzero(data.sectors[idx] == sector))
-                for idx in client_records(plan)
-                if np.any(data.sectors[idx] == sector)
-            ]
-            group_total = int(np.count_nonzero(data.sectors == sector))
-            for size in sizes:
-                assert abs(size - group_total / len(sizes)) <= 1.0
+        assert check_equal_shares(plan, data) == []
 
     def test_temporal_order_within_client(self):
         data = sectored_dataset([50, 50, 50], seed=3)
         plan = exdir_partition(data.sectors, 6, 2, 1.0, seed=13)
-        for idx in client_records(plan):
-            assert np.all(np.diff(idx) > 0)
+        assert check_partition(plan, data, 6, 2) == []
 
     def test_insufficient_coverage_rejected(self):
         data = sectored_dataset([5, 5, 5])
@@ -100,13 +129,7 @@ class TestValidatePartition:
         # no client empty, each client's records ascending, sizes summing
         data = sectored_dataset([40, 40], seed=5)
         plan = exdir_partition(data.sectors, 4, 1, 1.0, seed=17)
-        sizes = plan.sizes()
-        assert sizes.size == 4 and sizes.min() > 0
-        assert sum(sizes) == len(data)
-        np.testing.assert_array_equal(np.sort(plan.order()), np.arange(len(data)))
-        for client, idx in enumerate(client_records(plan)):
-            assert np.all(plan.owner[idx] == client)
-            assert np.all(np.diff(idx) > 0)
+        assert check_partition(plan, data, 4, 1) == []
 
 
 @settings(max_examples=150, deadline=None)
@@ -121,16 +144,7 @@ def test_partition_invariants(sectors, num_clients, labels_per_client, alpha, se
         plan = exdir_partition(data.sectors, num_clients, labels_per_client, alpha, seed)
     except ConfigurationError:
         return
-    assert plan.num_clients == num_clients
-    assert plan.owner.shape == (len(data),)
-    assert 0 <= plan.owner.min() and plan.owner.max() < num_clients
-    sizes = plan.sizes()
-    assert sizes.min() > 0 and sizes.sum() == len(data)
-    assert sorted(plan.order().tolist()) == list(range(len(data)))
-    for client, idx in enumerate(client_records(plan)):
-        assert np.all(plan.owner[idx] == client)
-        assert np.all(np.diff(idx) > 0)
-        assert np.unique(data.sectors[idx]).size <= labels_per_client
+    assert check_partition(plan, data, num_clients, labels_per_client) == []
 
 
 @settings(max_examples=300, deadline=None)

@@ -15,13 +15,69 @@ from riskfed.sensitivity import (
 )
 
 from conftest import make_dataset, make_store
-from oracles import brute_force_sensitivity, exact_solve, tail_objective
+from oracles import brute_force_sensitivity, exact_solve, risks, tail_objective
 
 
 def report_with_gram(gram, n_k):
     g = np.asarray(gram, dtype=np.float64)
     return ClientReport(n_k=n_k, gradient=np.zeros(g.shape[0]), gram=g,
                         local_loss=0.0, active_count=0)
+
+
+def check_gram(rng, cases: int) -> tuple[float, float]:
+    """Over cases random shards, client_report's Gram at beta 0.8: the
+    largest |G - G^T| entry and the least v^T G v along one random v each,
+    which are 0 and nonnegative for a symmetric PSD Gram."""
+    asymmetry, curvature = 0.0, np.inf
+    for _ in range(cases):
+        d = int(rng.integers(2, 8))
+        n = int(rng.integers(2, 25))
+        data = make_dataset(rng.standard_normal((n, d)),
+                            rng.choice([-1.0, 1.0], n))
+        w = rng.standard_normal(d + 1)
+        gram = client_report(w, data, beta=0.8, c=1.0).gram
+        asymmetry = max(asymmetry, float(np.abs(gram - gram.T).max()))
+        v = rng.standard_normal(d + 1)
+        curvature = min(curvature, float(v @ gram @ v))
+    return asymmetry, curvature
+
+
+def check_sensitivity_sum(rng, cases: int) -> float:
+    """The largest entry of |aggregate_sensitivity - brute_force_sensitivity|
+    over cases random sets of 1 to 5 client reports, each of 1 to 8 rows,
+    and c in [0.2, 3)."""
+    worst = 0.0
+    for _ in range(cases):
+        p = int(rng.integers(2, 7))
+        reports = []
+        for _ in range(int(rng.integers(1, 6))):
+            n = int(rng.integers(1, 9))
+            w = rng.standard_normal(p)
+            data = make_dataset(rng.standard_normal((n, p - 1)), rng.choice([-1.0, 1.0], n))
+            reports.append(client_report(w, data, beta=0.8, c=1.0))
+        total = sum(r.n_k for r in reports)
+        c = float(rng.uniform(0.2, 3.0))
+        got = aggregate_sensitivity(reports, c, total)
+        worst = max(worst, float(np.abs(got - brute_force_sensitivity(reports, c, total)).max()))
+    return worst
+
+
+def check_solve_residual(rng, cases: int) -> float:
+    """The largest residual ||(S + eps I) step - g|| / max(1, ||g||) of
+    central_update's step over cases random SPD systems S = A^T A of
+    size 1 to 16, eps in [1e-4, 1) and ||g|| scaled up to 50-fold."""
+    worst = 0.0
+    for _ in range(cases):
+        p = int(rng.integers(1, 17))
+        a = rng.standard_normal((p + 2, p))
+        s = a.T @ a
+        eps = float(rng.uniform(1e-4, 1.0))
+        g = rng.standard_normal(p) * float(rng.uniform(0.1, 50))
+        w = rng.standard_normal(p)
+        step = w - central_update(w, s, g, epsilon=eps)
+        resid = np.linalg.norm((s + eps * np.eye(p)) @ step - g)
+        worst = max(worst, float(resid) / max(1.0, float(np.linalg.norm(g))))
+    return worst
 
 
 class TestClientGram:
@@ -47,17 +103,9 @@ class TestClientGram:
         assert gram[2, 2] == 2.0
 
     def test_symmetric_psd_random(self):
-        rng = np.random.default_rng(51)
-        for _ in range(100):
-            d = int(rng.integers(2, 8))
-            n = int(rng.integers(2, 25))
-            data = make_dataset(rng.standard_normal((n, d)),
-                                rng.choice([-1.0, 1.0], n))
-            w = rng.standard_normal(d + 1)
-            gram = client_report(w, data, beta=0.8, c=1.0).gram
-            np.testing.assert_allclose(gram, gram.T, atol=1e-12)
-            v = rng.standard_normal(d + 1)
-            assert v @ gram @ v >= -1e-10
+        asymmetry, curvature = check_gram(np.random.default_rng(51), 100)
+        assert asymmetry <= 1e-12
+        assert curvature >= -1e-10
 
 
 class TestAggregateSensitivity:
@@ -71,19 +119,7 @@ class TestAggregateSensitivity:
         np.testing.assert_array_equal(s, np.eye(3) + gram)
 
     def test_matches_brute_force(self):
-        rng = np.random.default_rng(53)
-        for _ in range(50):
-            p = int(rng.integers(2, 7))
-            reports = []
-            for _ in range(int(rng.integers(1, 6))):
-                a = rng.standard_normal((int(rng.integers(1, 6)), p))
-                reports.append(report_with_gram(a.T @ a, int(rng.integers(1, 9))))
-            total = sum(r.n_k for r in reports)
-            c = float(rng.uniform(0.2, 3.0))
-            got = aggregate_sensitivity(reports, c, total)
-            np.testing.assert_allclose(
-                got, brute_force_sensitivity(reports, c, total), atol=1e-12
-            )
+        assert check_sensitivity_sum(np.random.default_rng(53), 50) <= 1e-12
 
     def test_identity_floor_under_full_reporting(self):
         rng = np.random.default_rng(59)
@@ -127,17 +163,7 @@ class TestCentralUpdate:
         np.testing.assert_allclose(got, w - g, atol=1e-14)
 
     def test_residual_bound_random_spd(self):
-        rng = np.random.default_rng(67)
-        for _ in range(100):
-            p = int(rng.integers(1, 17))
-            a = rng.standard_normal((p + 2, p))
-            s = a.T @ a
-            eps = float(rng.uniform(1e-4, 1.0))
-            g = rng.standard_normal(p) * float(rng.uniform(0.1, 50))
-            w = rng.standard_normal(p)
-            step = w - central_update(w, s, g, epsilon=eps)
-            resid = np.linalg.norm((s + eps * np.eye(p)) @ step - g)
-            assert resid <= 1e-8 * max(1.0, np.linalg.norm(g))
+        assert check_solve_residual(np.random.default_rng(67), 100) <= 1e-8
         # systems of the step's own form, S = I + J^T J / n over rows [x; 1]
         # with x of scale 1e8, cond(S + eps I) about 8e15: each step misses
         # the absolute bound above, yet agrees with the exact solution of
@@ -225,11 +251,11 @@ def test_step_descends_the_cvar_objective(seed, n, d, c, data):
     else:
         beta = data.draw(st.floats(0.05, 0.95), label="beta")
     xb = np.hstack([features, np.ones((n, 1))])
-    risks = -labels * (xb @ w)
+    r = risks(w, features, labels)
     k = int(np.argmax(np.arange(1, n + 1) / n >= beta)) + 1  # rank of q
-    q_row = int(np.argsort(risks)[k - 1])
-    others = np.delete(risks, q_row)
-    assume(np.all(np.abs(others - risks[q_row]) > 2 * H * np.abs(xb).max()))
+    q_row = int(np.argsort(r)[k - 1])
+    others = np.delete(r, q_row)
+    assume(np.all(np.abs(others - r[q_row]) > 2 * H * np.abs(xb).max()))
 
     shard = make_dataset(features, labels)
     store = make_store([(shard, shard)])
